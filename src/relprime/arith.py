@@ -3,11 +3,24 @@
 Everything here is plain integer arithmetic: Python ints are arbitrary
 precision, so counts on the order of 2^10000 need no special handling.
 No floating point appears anywhere in a counting path.
+
+The private Mobius-sum kernel at the end of this module serves all four
+counts.  Each is a sum  sum_d mu(d) * g([n/d])  that depends on d only
+through q = [n/d], so n is first turned into a short tuple of
+(weight, q) pairs and the sum is then evaluated over that tuple:
+
+    d = 1..n   (f, f_k)     one pair per distinct quotient q, O(sqrt n)
+                            pairs, weight M(n/q) - M(n/(q+1)) from the
+                            Mertens function M;
+    d | n      (Phi, Phi_k) one pair per squarefree divisor d, 2^omega(n)
+                            pairs, weight mu(d), from trial factoring n.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 
@@ -87,24 +100,17 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     if n < 1:
         raise ValueError("divisors requires n >= 1")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+    divs = [1]
+    for p, e in _factorization(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k) exactly; 0 whenever k > n."""
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be nonnegative")
-    return math.comb(n, k)
+    return _comb(n, k)
 
 
 def pow2_minus_1(e: int) -> int:
@@ -135,14 +141,171 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
+    for p, _ in _factorization(n):
+        result -= result // p
+    return result
+
+
+# ------------------------------------------------------ Mobius-sum kernel
+
+@lru_cache(maxsize=16)
+def _factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1, primes ascending, by trial division.
+
+    Memoized briefly: the divisor-sum checks ask for the divisors of one
+    n once per sampled k.
+    """
+    factors = []
     m = n
     p = 2
     while p * p <= m:
         if m % p == 0:
+            e = 0
             while m % p == 0:
                 m //= p
-            result -= result // p
+                e += 1
+            factors.append((p, e))
         p += 1 if p == 2 else 2
     if m > 1:
-        result -= result // m
-    return result
+        factors.append((m, 1))
+    return tuple(factors)
+
+
+class _Mertens:
+    """The Mertens function M(x) = sum_{d<=x} mu(d), exact for every x >= 0.
+
+    Arguments up to the table limit are read from prefix sums of a Mobius
+    sieve.  Larger ones come from the identity sum_{d<=x} M([x/d]) = 1
+    (Deleglise & Rivat, "Computing the summation of the Mobius function",
+    Experimental Math. 5, 1996), memoized; its quotient blocks read the
+    table once the table covers x^(2/3), which the first call for x
+    arranges.  A recursion costs about 2 sqrt(x) steps and a sieve up to
+    x about x, so once the recursions since the last sieve have cost more
+    than a sieve over the argument at hand, the table is re-sieved over
+    it: a dense run of arguments (every n up to some bound) ends up as
+    table reads.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.prefix = [0, 1]  # M(0), M(1), ..., M(limit)
+        self.memo: dict[int, int] = {}  # M(x) for x past the table
+        self.spent = 0  # recursion steps since the table was sieved
+
+    def _sieve(self, limit: int) -> None:
+        self.prefix = list(accumulate(mobius_sieve(limit)._values))
+        # Dropped whole rather than filtered: filtering would iterate a
+        # dict that another thread may be adding to.
+        self.memo = {}
+        self.spent = 0
+
+    def __call__(self, x: int) -> int:
+        prefix = self.prefix
+        if x < len(prefix):
+            return prefix[x]
+        value = self.memo.get(x)
+        if value is not None:
+            return value
+        limit = len(prefix) - 1
+        # A power of two at or above x^(2/3), so repeated growth doubles.
+        need = 1 << -(-2 * x.bit_length() // 3)
+        if self.spent > x or need > limit:
+            self._sieve(max(x if self.spent > x else need, 2 * limit))
+            return self(x)
+        s = math.isqrt(x)
+        self.spent += 2 * s
+        # d = 2..[x/(s+1)] one at a time, then the d with [x/d] = q <= s
+        # in one block per q; the blocks start past d = 1 because x > s.
+        value = 1 - sum(self(x // d) for d in range(2, x // (s + 1) + 1))
+        value -= sum((x // q - x // (q + 1)) * self(q) for q in range(1, s + 1))
+        self.memo[x] = value
+        return value
+
+
+_mertens = _Mertens()
+
+
+@lru_cache(maxsize=8)
+def _quotient_blocks(n: int) -> tuple[tuple[int, int], ...]:
+    """(size, q) for each distinct q = [n/d], d = 1..n, q descending.
+
+    size counts the d with [n/d] = q; they follow on from the d of the
+    previous block.  There are O(sqrt n) blocks.  Memoized briefly: the
+    recursion checks read the blocks of one n once per sampled k.
+    """
+    blocks = []
+    d = 1
+    while d <= n:
+        q = n // d
+        hi = n // q
+        blocks.append((hi - d + 1, q))
+        d = hi + 1
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=8)
+def _quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
+    """(sum of mu(d) over the d with [n/d] = q, q) for q = [n/d], d = 1..n.
+
+    Each weight is M(hi) - M(lo - 1) over the block lo..hi of d; pairs of
+    weight 0 are dropped and q ascends.  Memoized briefly: one n is
+    usually asked for once per sampled k.
+    """
+    pairs = []
+    hi = before = 0  # before = M(lo - 1)
+    for size, q in _quotient_blocks(n):
+        hi += size
+        upto = _mertens(hi)
+        if upto != before:
+            pairs.append((upto - before, q))
+        before = upto
+    pairs.reverse()
+    return tuple(pairs)
+
+
+def _divisor_weights(n: int) -> tuple[tuple[int, int], ...]:
+    """(mu(d), n/d) for each squarefree divisor d of n, n/d ascending."""
+    pairs = [(1, n)]
+    for p, _ in _factorization(n):
+        pairs += [(-w, q // p) for w, q in pairs]
+    pairs.sort(key=lambda pair: pair[1])
+    return tuple(pairs)
+
+
+def _sum_subsets(weights: tuple[tuple[int, int], ...]) -> int:
+    """sum of w * (2^q - 1) over (w, q): weighted nonempty-subset counts.
+
+    q ascends, so the running total stays short until the last terms.
+    """
+    total = 0
+    for w, q in weights:
+        total += (w << q) - w
+    return total
+
+
+# C(n, k) memoized briefly.  The identity checks compare a k-restricted
+# count with C(n, k) (or build a bound from it), and the count's own
+# d = 1 term is that same C(n, k); near k = n/2 it costs milliseconds.
+_comb = lru_cache(maxsize=16)(math.comb)
+
+
+def _sum_k_subsets(weights: tuple[tuple[int, int], ...], k: int) -> int:
+    """sum of w * C(q, k) over (w, q) with q >= k: weighted k-subset counts.
+
+    The last pair is (mu(1), n) = (1, n) for both kinds of weights; its
+    C(n, k) goes through the memo that binomial() reads.
+    """
+    last = len(weights) - 1
+    total = sum(w * math.comb(q, k) for w, q in weights[:last] if q >= k)
+    return total + _comb(weights[last][1], k)
+
+
+def _clear_kernel_memos() -> None:
+    """Forget every memo of the kernel, so the next sum is computed cold."""
+    _comb.cache_clear()
+    _factorization.cache_clear()
+    _quotient_blocks.cache_clear()
+    _quotient_weights.cache_clear()
+    _mertens.clear()

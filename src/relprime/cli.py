@@ -3,7 +3,9 @@
 Exit codes follow one contract everywhere: 0 success, 1 verification
 failure (an identity or cross-check that should hold did not), 2 usage
 error (bad arguments or violated preconditions).  Malformed input never
-produces a traceback.
+produces a traceback; arguments are checked here, at the boundary, and
+raise UsageError.  Any other exception is a fault in the program and
+surfaces as one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import affine, counting, oracle, setphi
+from . import affine, arith, counting, oracle, setphi
 from .arith import divisors
 
 ENV_ORACLE_MAX = "RELPRIME_ORACLE_MAX"
@@ -86,6 +88,56 @@ def _parse_set(text: str) -> list[int]:
         raise UsageError(f"malformed integer set {text!r}") from None
 
 
+def _decimal(value: int) -> str:
+    """Exact decimal digits of value, also past CPython's int-string limit.
+
+    Values that certainly fit under sys.get_int_max_str_digits() use
+    str().  Longer ones are split by powers of two and put back together
+    in decimal.Decimal, whose arithmetic and printing are subquadratic;
+    the process-wide limit is never lifted.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)  # absent: no limit
+    limit = get_limit() if get_limit else 0
+    # bits * log10(2) < limit  guarantees at most limit digits.
+    if not limit or value.bit_length() * 30103 < limit * 100_000:
+        return str(value)
+    return _decimal_by_halves(value)
+
+
+_LEAF_BITS = 256
+
+
+def _decimal_by_halves(value: int) -> str:
+    import decimal  # only long outputs pay for the import
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power_of_two(w: int) -> decimal.Decimal:
+        p = powers.get(w)
+        if p is None:
+            if w <= _LEAF_BITS:
+                p = decimal.Decimal(1 << w)
+            else:
+                p = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
+            powers[w] = p
+        return p
+
+    def convert(v: int, w: int) -> decimal.Decimal:
+        # 0 <= v < 2^w; the low half takes the low w//2 bits.
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(v)
+        half = w >> 1
+        high = v >> half
+        return convert(high, w - half) * power_of_two(half) + convert(v - (high << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(value), value.bit_length()))
+    return "-" + digits if value < 0 else digits
+
+
 def _format_set(elems) -> str:
     return "{" + ",".join(str(e) for e in elems) + "}"
 
@@ -131,9 +183,18 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         raise UsageError(f"function {args.function} requires --d")
     if not needs_d and args.d is not None:
         raise UsageError(f"function {args.function} does not take --d")
+    if needs_k and args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
+    if needs_d and args.d < 1:
+        raise UsageError(f"--d must be >= 1, got {args.d}")
+    ns = _parse_n_list(args.n)
+    if needs_d:
+        for n in ns:
+            if n % args.d:
+                raise UsageError(f"psi requires d | n; {args.d} does not divide {n}")
 
     records = []
-    for n in _parse_n_list(args.n):
+    for n in ns:
         start = time.perf_counter()
         if args.function == "f":
             value = counting.count_relprime(n)
@@ -152,7 +213,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         records.append(
             OutputRecord(
                 n=report.n,
-                value=str(report.count),
+                value=_decimal(report.count),
                 method=report.method,
                 elapsed_ms=report.elapsed * 1000.0,
                 k=report.k,
@@ -342,6 +403,10 @@ def _cmd_affine(args: argparse.Namespace) -> int:
             raise UsageError("affine dist takes --n/--k flags, not --set")
         if args.n is None:
             raise UsageError("affine dist requires --n")
+        if not 0 <= args.n <= affine.DIST_MAX_N:
+            raise UsageError(f"affine dist requires 0 <= n <= {affine.DIST_MAX_N}, got {args.n}")
+        if args.k is not None and args.k < 1:
+            raise UsageError(f"--k must be >= 1, got {args.k}")
 
     if action == "canon":
         form = affine.canonical_form(sets[0])
@@ -378,6 +443,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         formula_s = float("inf")
         for _ in range(reps):
             counting.count_relprime.cache_clear()
+            arith._clear_kernel_memos()
             start = time.perf_counter()
             formula_value = counting.count_relprime(n)
             formula_s = min(formula_s, time.perf_counter() - start)
@@ -495,9 +561,6 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

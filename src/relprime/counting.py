@@ -6,13 +6,16 @@ number of such subsets, here count_relprime(n), satisfies
     count_relprime(n)      = sum_{d=1..n} mu(d) * (2^[n/d] - 1)
     count_relprime_k(n, k) = sum_{d=1..n} mu(d) * C([n/d], k)
 
-with [x] the floor.  Both are evaluated by the explicit Mobius sums; the
-self-referential recursions
+with [x] the floor.  Both sums depend on d only through q = [n/d], so
+they are evaluated over the O(sqrt n) distinct quotients, each weighted
+by the Mobius sum of its block of d, a difference of Mertens values (see
+the kernel in arith).  The self-referential recursions
 
     sum_{d=1..n} count_relprime([n/d])      = 2^n - 1
     sum_{d=1..n} count_relprime_k([n/d], k) = C(n, k)
 
-are kept as verification checks, not as the evaluation path.
+are kept as verification checks, not as the evaluation path; they too
+run over the quotient blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import binomial, shared_mobius
+from .arith import (
+    _quotient_blocks,
+    _quotient_weights,
+    _sum_k_subsets,
+    _sum_subsets,
+    binomial,
+)
 
 
 @dataclass(frozen=True)
@@ -39,33 +48,31 @@ class CountReport:
 def count_relprime(n: int) -> int:
     """Number of nonempty subsets of {1,...,n} with gcd 1.
 
-    O(n) big-integer terms.  Values repeat heavily across a range of
-    arguments (the recursion checks evaluate [n/d] for every d), so
-    results are memoized for the life of the process.
+    O(sqrt n) big-integer terms, one per distinct [n/d].  Values repeat
+    heavily across a range of arguments (the recursion checks evaluate
+    every [n/d]), so results are memoized for the life of the process.
     """
     if n < 1:
         raise ValueError("count_relprime requires n >= 1")
-    tab = shared_mobius(n)
-    total = 0
-    for d in range(1, n + 1):
-        mu = tab.mu(d)
-        if mu:
-            total += mu * ((1 << (n // d)) - 1)
-    return total
+    return _sum_subsets(_quotient_weights(n))
+
+
+def count_relprime_k(n: int, k: int) -> int:
+    """Number of k-element subsets of {1,...,n} with gcd 1; 0 when k > n.
+
+    Memoized like count_relprime, except for the zeros at k > n: the
+    recursion checks with k near n ask for those at nearly every [n/d].
+    """
+    if n < 1 or k < 1:
+        raise ValueError("count_relprime_k requires n >= 1 and k >= 1")
+    if k > n:
+        return 0
+    return _count_relprime_k(n, k)
 
 
 @lru_cache(maxsize=None)
-def count_relprime_k(n: int, k: int) -> int:
-    """Number of k-element subsets of {1,...,n} with gcd 1; 0 when k > n."""
-    if n < 1 or k < 1:
-        raise ValueError("count_relprime_k requires n >= 1 and k >= 1")
-    tab = shared_mobius(n)
-    total = 0
-    for d in range(1, n + 1):
-        mu = tab.mu(d)
-        if mu:
-            total += mu * binomial(n // d, k)
-    return total
+def _count_relprime_k(n: int, k: int) -> int:
+    return _sum_k_subsets(_quotient_weights(n), k)
 
 
 def sandwich_bounds(n: int) -> tuple[int, int]:
@@ -91,12 +98,13 @@ def sandwich_bounds_k(n: int, k: int) -> tuple[int, int]:
 
 
 def verify_recursion(n: int) -> bool:
-    """True iff sum_{d=1..n} count_relprime([n/d]) = 2^n - 1 exactly."""
+    """True iff sum_{d=1..n} count_relprime([n/d]) = 2^n - 1 exactly.
+
+    The d sharing a quotient q contribute (number of them) * f(q) at once.
+    """
     if n < 1:
         raise ValueError("verify_recursion requires n >= 1")
-    total = 0
-    for d in range(1, n + 1):
-        total += count_relprime(n // d)
+    total = sum(size * count_relprime(q) for size, q in _quotient_blocks(n))
     return total == (1 << n) - 1
 
 
@@ -104,9 +112,7 @@ def verify_recursion_k(n: int, k: int) -> bool:
     """True iff sum_{d=1..n} count_relprime_k([n/d], k) = C(n, k) exactly."""
     if n < 1 or k < 1:
         raise ValueError("verify_recursion_k requires n >= 1 and k >= 1")
-    total = 0
-    for d in range(1, n + 1):
-        total += count_relprime_k(n // d, k)
+    total = sum(size * count_relprime_k(q, k) for size, q in _quotient_blocks(n))
     return total == binomial(n, k)
 
 

@@ -4,14 +4,16 @@ subset_phi(n) counts the nonempty A within {1,...,n} whose gcd is
 relatively prime to n; subset_phi_k restricts to |A| = k.  These
 generalize Euler's phi: subset_phi_k(n, 1) = euler_phi(n).
 
-For n >= 2 the divisor Mobius sums apply:
+Both are divisor Mobius sums:
 
-    subset_phi(n)      = sum_{d|n} mu(d) * 2^(n/d)
+    subset_phi(n)      = sum_{d|n} mu(d) * (2^(n/d) - 1)
     subset_phi_k(n, k) = sum_{d|n} mu(d) * C(n/d, k)
 
-and n = 1 is a hard-coded special case (the unrestricted formula gives
-2 there because sum_{d|1} mu(d) = 1 instead of 0).  The divisor-sum
-identities
+For n >= 2 the first is sum_{d|n} mu(d) * 2^(n/d), because the mu(d)
+sum to 0; at n = 1 it gives 1.  Only squarefree d contribute, so each
+sum runs over the 2^omega(n) squarefree divisors of n, found by trial
+factoring n (see the kernel in arith); no Mobius table is sieved.  The
+divisor-sum identities
 
     sum_{d|n} subset_phi(d)   = 2^n - 1
     sum_{d|n} subset_phi_k(d) = C(n, k)
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import binomial, divisors, shared_mobius
+from .arith import _divisor_weights, _sum_k_subsets, _sum_subsets, binomial, divisors
 
 
 @dataclass(frozen=True)
@@ -48,36 +50,25 @@ def subset_phi(n: int) -> int:
     """Count of nonempty subsets of {1,...,n} whose gcd is coprime to n."""
     if n < 1:
         raise ValueError("subset_phi requires n >= 1")
-    if n == 1:
-        return 1
-    tab = shared_mobius(n)
-    total = 0
-    for d in divisors(n):
-        mu = tab.mu(d)
-        if mu:
-            q, r = divmod(n, d)
-            assert r == 0
-            total += mu * (1 << q)
-    return total
+    return _sum_subsets(_divisor_weights(n))
+
+
+def subset_phi_k(n: int, k: int) -> int:
+    """Count of k-element subsets of {1,...,n} whose gcd is coprime to n.
+
+    Memoized like subset_phi, except for the zeros at k > n: the
+    divisor-sum checks with k near n ask for those at nearly every d | n.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("subset_phi_k requires n >= 1 and k >= 1")
+    if k > n:
+        return 0
+    return _subset_phi_k(n, k)
 
 
 @lru_cache(maxsize=None)
-def subset_phi_k(n: int, k: int) -> int:
-    """Count of k-element subsets of {1,...,n} whose gcd is coprime to n."""
-    if n < 1 or k < 1:
-        raise ValueError("subset_phi_k requires n >= 1 and k >= 1")
-    if n == 1:
-        # {1} is the only nonempty subset of {1}.
-        return 1 if k == 1 else 0
-    tab = shared_mobius(n)
-    total = 0
-    for d in divisors(n):
-        mu = tab.mu(d)
-        if mu:
-            q, r = divmod(n, d)
-            assert r == 0
-            total += mu * binomial(q, k)
-    return total
+def _subset_phi_k(n: int, k: int) -> int:
+    return _sum_k_subsets(_divisor_weights(n), k)
 
 
 def subset_psi(n: int, d: int) -> int:

@@ -1,12 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from relprime.cli import main
+from relprime import arith
+from relprime.cli import _decimal, _decimal_by_halves, main
+from relprime.counting import count_relprime, count_relprime_k
+from relprime.setphi import subset_phi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -89,6 +94,59 @@ class TestCompute:
         assert code == 0
         assert out.strip() == "2 11 983"
 
+    def test_rejects_bad_k_and_d(self, capsys):
+        assert run(capsys, "compute", "fk", "--n", "5", "--k", "0")[0] == 2
+        assert run(capsys, "compute", "phik", "--n", "5", "--k", "-1")[0] == 2
+        assert run(capsys, "compute", "psi", "--n", "6", "--d", "0")[0] == 2
+        code, out, err = run(capsys, "compute", "psi", "--n", "6,7", "--d", "2")
+        assert (code, out) == (2, "")
+        assert "divide" in err
+
+
+# 2^14300 has 4305 decimal digits, just past CPython's default limit of
+# 4300; the expected values are compared as Decimals, which never go
+# through int-to-string conversion, so the limit stays as it is.
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("f", "--n", "14300"), lambda: count_relprime(14300)),
+        (("fk", "--n", "15000", "--k", "7500", "--format", "json"),
+         lambda: count_relprime_k(15000, 7500)),
+        (("phi", "--n", "20000", "--format", "json"), lambda: subset_phi(20000)),
+        (("psi", "--n", "43002", "--d", "3", "--format", "bfile"), lambda: subset_phi(14334)),
+    ],
+)
+def test_values_past_digit_limit(capsys, argv, expected):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "compute", *argv)
+    assert code == 0
+    if "json" in argv:
+        text = json.loads(out)["value"]
+    else:
+        text = out.split()[-1]
+    assert len(text) > 4300
+    assert Decimal(text) == Decimal(expected())
+    assert sys.get_int_max_str_digits() == limit
+
+
+class TestDecimal:
+    def test_split_conversion_matches_str(self):
+        rng = random.Random(5)
+        for bits in (1, 255, 256, 257, 1000, 4096, 9999):
+            for _ in range(5):
+                value = rng.getrandbits(bits) | 1 << (bits - 1)
+                assert _decimal_by_halves(value) == str(value)
+                assert _decimal_by_halves(-value) == str(-value)
+        assert _decimal_by_halves(10**3000) == "1" + "0" * 3000
+
+    def test_digit_limit_boundary(self):
+        for value in (10**4300 - 1, 10**4300, -(10**4300), (1 << 14300) - 1):
+            text = _decimal(value)
+            assert Decimal(text) == Decimal(value)
+            assert text.lstrip("-")[0] != "0"
+        assert len(_decimal(10**4300)) == 4301
+        assert _decimal(0) == "0"
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -133,6 +191,16 @@ class TestVerify:
     def test_env_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("RELPRIME_ORACLE_MAX", "many")
         assert run(capsys, "verify", "oracle", "--n-max", "5")[0] == 2
+
+    def test_internal_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        from relprime import counting
+
+        def broken(n):
+            raise ValueError("fault inside a computation")
+
+        monkeypatch.setattr(counting, "verify_recursion", broken)
+        with pytest.raises(ValueError, match="fault inside"):
+            main(["verify", "recursions", "--n-max", "5"])
 
     def test_identity_failure_exits_one(self, capsys, monkeypatch):
         # A failed check is a correctness bug (exit 1), not a usage error.
@@ -184,6 +252,8 @@ class TestAffine:
 
     def test_dist_guard(self, capsys):
         assert run(capsys, "affine", "dist", "--n", "21")[0] == 2
+        assert run(capsys, "affine", "dist", "--n", "-1")[0] == 2
+        assert run(capsys, "affine", "dist", "--n", "4", "--k", "0")[0] == 2
 
     def test_malformed_set(self, capsys):
         assert run(capsys, "affine", "canon", "--set", "1,,2")[0] == 2
@@ -210,6 +280,15 @@ class TestBench:
 
     def test_rejects_bad_reps(self, capsys):
         assert run(capsys, "bench", "--n", "8", "--reps", "0")[0] == 2
+
+    def test_each_repetition_starts_cold(self, capsys, monkeypatch):
+        clears = []
+        monkeypatch.setattr(arith._mertens, "clear", lambda: clears.append(1))
+        code, _, _ = run(capsys, "bench", "--n", "12,13", "--reps", "3")
+        assert code == 0
+        assert len(clears) == 6
+        # The last repetition found no weights left over from the one before.
+        assert arith._quotient_weights.cache_info().hits == 0
 
     def test_value_mismatch_exits_one(self, capsys, monkeypatch):
         from relprime import oracle

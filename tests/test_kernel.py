@@ -1,0 +1,136 @@
+"""The Mobius-sum kernel against the plain Mobius sums it replaces.
+
+The references sum mu(d) * g([n/d]) over every d (or every divisor d),
+with mu read from a sieve, exactly as the formulas are written.
+"""
+
+import math
+import random
+import sys
+import threading
+from itertools import accumulate
+
+import pytest
+
+from relprime.arith import (
+    _Mertens,
+    _divisor_weights,
+    _mertens,
+    _quotient_weights,
+    mobius_sieve,
+)
+from relprime.counting import count_relprime, count_relprime_k
+from relprime.setphi import subset_phi, subset_phi_k
+
+LIMIT = 524_287  # 2^19 - 1, prime
+MU = mobius_sieve(LIMIT)._values
+LARGE = (65_537, 131_071, 510_510, LIMIT)  # primes, and 2*3*5*7*11*13*17
+
+
+def naive_f(n: int) -> int:
+    # d descending, so the running total grows with the terms.
+    return sum(MU[d] * ((1 << (n // d)) - 1) for d in range(n, 0, -1) if MU[d])
+
+
+def naive_fk(n: int, k: int) -> int:
+    return sum(MU[d] * math.comb(n // d, k) for d in range(1, n + 1) if MU[d])
+
+
+def naive_phi(n: int) -> int:
+    if n == 1:
+        return 1
+    return sum(MU[d] * (1 << (n // d)) for d in range(1, n + 1) if n % d == 0)
+
+
+def naive_phik(n: int, k: int) -> int:
+    return sum(MU[d] * math.comb(n // d, k) for d in range(1, n + 1) if n % d == 0)
+
+
+def sampled_ks(n: int) -> list[int]:
+    return sorted({k for k in (1, 2, 3, 5, 8, 13, n // 2, n) if k >= 1})
+
+
+class TestAgainstNaiveSums:
+    def test_small_n(self):
+        for n in range(1, 601):
+            assert count_relprime(n) == naive_f(n), n
+            assert subset_phi(n) == naive_phi(n), n
+            for k in sampled_ks(n):
+                assert count_relprime_k(n, k) == naive_fk(n, k), (n, k)
+                assert subset_phi_k(n, k) == naive_phik(n, k), (n, k)
+
+    @pytest.mark.parametrize("n", LARGE)
+    def test_large_n(self, n):
+        assert count_relprime(n) == naive_f(n)
+        assert subset_phi(n) == naive_phi(n)
+        for k in (2, 3):
+            assert count_relprime_k(n, k) == naive_fk(n, k)
+            assert subset_phi_k(n, k) == naive_phik(n, k)
+
+
+class TestWeights:
+    @pytest.mark.parametrize("n", [1, 2, 12, 1000, 510_510, LIMIT])
+    def test_quotient_weights_are_short_and_sum_to_mertens(self, n):
+        weights = _quotient_weights(n)
+        qs = [q for _, q in weights]
+        assert qs == sorted(set(qs))
+        assert qs[-1] == n and weights[-1][0] == 1
+        assert len(weights) <= 2 * math.isqrt(n)
+        assert sum(w for w, _ in weights) == sum(MU[1 : n + 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 30, 510_510, LIMIT])
+    def test_divisor_weights_are_the_squarefree_divisors(self, n):
+        expected = sorted((MU[d], n // d) for d in range(1, n + 1) if n % d == 0 and MU[d])
+        assert sorted(_divisor_weights(n)) == expected
+        assert [q for _, q in _divisor_weights(n)] == sorted(q for _, q in expected)
+
+
+class TestMertens:
+    @pytest.mark.parametrize(
+        "x,expected",
+        [(10, -1), (10**2, 1), (10**3, 2), (10**4, -23), (10**5, -48), (10**6, 212)],
+    )
+    def test_known_values(self, x, expected):
+        assert _mertens(x) == expected
+        assert _Mertens()(x) == expected  # cold: small table, recursion above it
+
+    def test_matches_sieve_prefix_sums(self):
+        prefix = list(accumulate(MU[:3001]))
+        ascending = _Mertens()  # a dense run re-sieves as it goes
+        assert [ascending(x) for x in range(3001)] == prefix
+        big_first = _Mertens()  # the first call sizes the table for 3000
+        assert big_first(3000) == prefix[3000]
+        assert [big_first(x) for x in range(3000, -1, -1)] == prefix[::-1]
+
+    def test_clear_forgets_everything(self):
+        mertens = _Mertens()
+        assert mertens(10**5) == -48
+        mertens.clear()
+        assert (mertens.prefix, mertens.memo, mertens.spent) == ([0, 1], {}, 0)
+        assert mertens(10**5) == -48
+
+    def test_threads_sharing_one_instance_read_exact_values(self):
+        prefix = list(accumulate(MU[:8001]))
+        mertens = _Mertens()
+        wrong: list[int] = []
+        finished: list[int] = []  # an exception in a thread skips its append
+
+        def work(seed: int) -> None:
+            xs = list(range(8001))
+            random.Random(seed).shuffle(xs)
+            wrong.extend(x for x in xs if mertens(x) != prefix[x])
+            finished.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert wrong == []
