@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Iterable
 
 from .arith import gcd_set
 
-DIST_MAX_N = 20  # 2^(n+1) subsets of {0,...,n} are enumerated
+DIST_MAX_N = 20  # the 2^n subsets of {0,...,n} that contain 0 are walked
 LINEAR_FORM_MAX_TUPLES = 10_000_000
 
 IntSet = tuple[int, ...]
@@ -158,23 +159,65 @@ def sumset_size_distribution(
     Maps each attained card(A+A) to the number of nonempty subsets A of
     {0,...,n} attaining it; k restricts to |A| = k, and inequivalent_only
     counts each affine equivalence class once (via its representative).
+
+    Only sets B containing 0 are walked, depth first in increasing
+    elements, with B as an int bitmask and B+B as an int bitset: adding
+    x > max(B) gives B+B | (B << x) | (1 << 2x).  Every nonempty subset
+    of {0,...,n} is exactly one translate t + B with 0 <= t <= n - max(B),
+    and translation keeps card(A+A), so B stands for n - max(B) + 1 sets.
+    An affine class has exactly one normalized form B with gcd 1 that is
+    its representative, the lexicographically smaller of B and its mirror
+    max(B) - B; the class of singletons is {0}.
     """
     if not 0 <= n <= DIST_MAX_N:
         raise ValueError(f"distribution requires 0 <= n <= {DIST_MAX_N}, got {n}")
     if k is not None and k < 1:
         raise ValueError("cardinality k must be >= 1")
-    counts: dict[int, int] = {}
-    seen: set[IntSet] = set()
-    width = n + 1
-    for mask in range(1, 1 << width):
-        if k is not None and mask.bit_count() != k:
-            continue
-        a = tuple(i for i in range(width) if mask >> i & 1)
-        if inequivalent_only:
-            rep = canonical_form(a).representative
-            if rep in seen:
-                continue
-            seen.add(rep)
-        size = len({x + y for x in a for y in a})
-        counts[size] = counts.get(size, 0) + 1
-    return dict(sorted(counts.items()))
+    counts = [0] * (2 * n + 2)  # card(A+A) <= 2n + 1
+    if k is None or k == 1:
+        counts[1] = 1 if inequivalent_only else n + 1
+    if k != 1:
+        walk = _walk_classes if inequivalent_only else _walk_translates
+        walk(n, k, counts)
+    return {size: count for size, count in enumerate(counts) if count}
+
+
+def _walk_translates(n: int, k: int | None, counts: list[int]) -> None:
+    """Add the translates of every B with 0 in B, |B| >= 2, to counts."""
+
+    def walk(b: int, s: int, top: int, size: int) -> None:
+        # b: B as a bitmask, s: B+B as a bitset, top = max(B), size = |B|;
+        # with k set, x leaves room for the k - size - 1 elements after it.
+        last = n if k is None else n - k + size + 1
+        for x in range(top + 1, last + 1):
+            t = s | b << x | 1 << 2 * x
+            if k is None or size + 1 == k:
+                counts[t.bit_count()] += n - x + 1
+            if x < n and (k is None or size + 1 < k):
+                walk(b | 1 << x, t, x, size + 1)
+
+    walk(1, 1, 0, 1)
+
+
+def _walk_classes(n: int, k: int | None, counts: list[int]) -> None:
+    """Add every class representative B of size >= 2 within {0,...,n} to counts."""
+
+    def walk(b: int, s: int, top: int, size: int, g: int, rev: int) -> None:
+        # As in _walk_translates, plus g = gcd(B) and rev, which has bit
+        # n - e for each e in B, so the mirror of B is rev >> (n - max(B)).
+        last = n if k is None else n - k + size + 1
+        for x in range(top + 1, last + 1):
+            c = b | 1 << x
+            t = s | b << x | 1 << 2 * x
+            h = gcd(g, x)
+            r = rev | 1 << (n - x)
+            if h == 1 and (k is None or size + 1 == k):
+                # C is the representative when it equals its mirror or the
+                # smallest element where they differ belongs to C.
+                diff = c ^ r >> (n - x)
+                if not diff or diff & -diff & c:
+                    counts[t.bit_count()] += 1
+            if x < n and (k is None or size + 1 < k):
+                walk(c, t, x, size + 1, h, r)
+
+    walk(1, 1, 0, 1, 0, 1 << n)

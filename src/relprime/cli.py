@@ -294,18 +294,19 @@ def _suite_asymptotics(n_max: int, k_max: int | None):
 def _suite_oracle(n_max: int, k_max: int | None):
     checks = 0
     for n in range(1, n_max + 1):
-        if counting.count_relprime(n) != oracle.enumerate_relprime(n):
+        scan = oracle.gcd_histogram(n)  # one 2^n scan serves every check at n
+        if counting.count_relprime(n) != scan.with_gcd(1):
             return checks, f"count formula disagrees with enumeration at n={n}"
-        if setphi.subset_phi(n) != oracle.enumerate_subset_phi(n):
+        if setphi.subset_phi(n) != scan.with_gcd_n(1):
             return checks, f"subset phi disagrees with enumeration at n={n}"
         top = n if k_max is None else min(n, k_max)
         for k in range(1, top + 1):
-            if counting.count_relprime_k(n, k) != oracle.enumerate_relprime_k(n, k):
+            if counting.count_relprime_k(n, k) != scan.with_gcd(1, k):
                 return checks, f"count formula disagrees at n={n}, k={k}"
-            if setphi.subset_phi_k(n, k) != oracle.enumerate_subset_phi_k(n, k):
+            if setphi.subset_phi_k(n, k) != scan.with_gcd_n(1, k):
                 return checks, f"subset phi disagrees at n={n}, k={k}"
         for d in divisors(n):
-            if setphi.subset_psi(n, d) != oracle.enumerate_subset_psi(n, d):
+            if setphi.subset_psi(n, d) != scan.with_gcd_n(d):
                 return checks, f"subset psi disagrees at n={n}, d={d}"
         checks += 1
     return checks, None

@@ -1,20 +1,29 @@
 """Ground-truth subset enumeration at desk scale.
 
 Every counting formula in the package can be cross-checked against a
-plain scan of all 2^n - 1 nonempty subsets of {1,...,n}.  Subsets are
-machine-word bitmasks: bit i set means element i + 1 is in the set, so
-the value of an isolated low bit is just its bit_length().  The running
-gcd stops early once it hits 1, which is absorbing.
+scan of all 2^n subsets of {1,...,n}.  One scan builds the histogram of
+(|A|, gcd(A)) over every subset, and each enumerate_* function reads its
+count off that histogram.  No Mobius function and no recursion over gcd
+values is involved: every subset's gcd is computed from its own elements.
 
-The point of this module is to be obviously correct, not fast; the hard
-ceiling ORACLE_MAX keeps a mistyped argument from launching a 2^40 run.
+The scan holds each subset's gcd in one byte (the empty set has gcd 0).
+Extending a batch of subsets by an element e is one bytes.translate
+through the table g -> gcd(g, e), so the gcds of all subsets of
+{1,...,L}, L = min(n, 16), are built element by element and grouped by
+size.  The subsets of {L+1,...,n} are built the same way and looped
+over; each one maps the whole low table through g -> gcd(g, h), h its
+own gcd, and the results are counted.  Memory stays near 2^16 bytes for
+every n up to the hard ceiling ORACLE_MAX, which keeps a mistyped
+argument from launching a 2^40 run.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
 
 ORACLE_MAX = 26
+_LOW_BITS = 16  # the low table holds the gcds of 2^16 subsets
 
 
 def _check_n(n: int) -> None:
@@ -22,82 +31,89 @@ def _check_n(n: int) -> None:
         raise ValueError(f"oracle enumeration requires 1 <= n <= {ORACLE_MAX}, got {n}")
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("cardinality k must be >= 1")
+
+
+@dataclass(frozen=True)
+class GcdHistogram:
+    """counts[k][g]: subsets of {1,...,n} with k elements and gcd g.
+
+    The empty set is the single entry counts[0][0]; the counts below
+    cover nonempty subsets only, and k (when given) must be >= 1.
+    """
+
+    n: int
+    counts: tuple[tuple[int, ...], ...]
+
+    def _subsets(self, keep, k: int | None) -> int:
+        rows = self.counts[1:] if k is None else self.counts[k:k + 1]
+        return sum(c for row in rows for g, c in enumerate(row) if keep(g))
+
+    def with_gcd(self, d: int, k: int | None = None) -> int:
+        """Nonempty subsets (of size k, if given) with gcd(A) = d."""
+        return self._subsets(lambda g: g == d, k)
+
+    def with_gcd_n(self, d: int, k: int | None = None) -> int:
+        """Nonempty subsets (of size k, if given) with gcd(A united {n}) = d."""
+        return self._subsets(lambda g: gcd(g, self.n) == d, k)
+
+
+def _gcds_by_size(elements, gcd_with: list[bytes]) -> list[bytes]:
+    """by_size[k]: the gcd of every k-subset of elements, one byte each."""
+    by_size = [b"\0"]  # the empty set
+    for e in elements:
+        extended = [gcds.translate(gcd_with[e]) for gcds in by_size]
+        by_size = [
+            without + with_e
+            for without, with_e in zip(by_size + [b""], [b""] + extended)
+        ]
+    return by_size
+
+
+def gcd_histogram(n: int) -> GcdHistogram:
+    """The (|A|, gcd(A)) histogram of all subsets of {1,...,n}, by one scan."""
+    _check_n(n)
+    gcd_with = [bytes(gcd(g, e) for g in range(256)) for e in range(n + 1)]
+    split = min(n, _LOW_BITS)
+    low = _gcds_by_size(range(1, split + 1), gcd_with)
+    high = _gcds_by_size(range(split + 1, n + 1), gcd_with)
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for high_size, high_gcds in enumerate(high):
+        for h in high_gcds:
+            # gcd(g, h) divides h; an empty high part (h = 0) leaves g as it is.
+            values = range(split + 1) if h == 0 else [g for g in range(1, h + 1) if h % g == 0]
+            for low_size, low_gcds in enumerate(low):
+                gcds = low_gcds.translate(gcd_with[h])
+                row = counts[high_size + low_size]
+                for g in values:
+                    row[g] += gcds.count(g)
+    return GcdHistogram(n, tuple(map(tuple, counts)))
+
+
 def enumerate_relprime(n: int) -> int:
     """Count nonempty subsets of {1,...,n} with gcd 1, by enumeration."""
-    _check_n(n)
-    count = 0
-    for mask in range(1, 1 << n):
-        g = 0
-        m = mask
-        while m:
-            low = m & -m
-            g = gcd(g, low.bit_length())
-            if g == 1:
-                count += 1
-                break
-            m ^= low
-    return count
+    return gcd_histogram(n).with_gcd(1)
 
 
 def enumerate_relprime_k(n: int, k: int) -> int:
     """Count k-element subsets of {1,...,n} with gcd 1, by enumeration."""
     _check_n(n)
-    if k < 1:
-        raise ValueError("cardinality k must be >= 1")
-    count = 0
-    for mask in range(1, 1 << n):
-        if mask.bit_count() != k:
-            continue
-        g = 0
-        m = mask
-        while m:
-            low = m & -m
-            g = gcd(g, low.bit_length())
-            if g == 1:
-                count += 1
-                break
-            m ^= low
-    return count
+    _check_k(k)
+    return gcd_histogram(n).with_gcd(1, k)
 
 
 def enumerate_subset_phi(n: int) -> int:
     """Count nonempty subsets whose gcd is coprime to n, by enumeration."""
-    _check_n(n)
-    count = 0
-    for mask in range(1, 1 << n):
-        h = n  # gcd(h, elements...) ends at gcd(gcd(A), n)
-        m = mask
-        while m:
-            low = m & -m
-            h = gcd(h, low.bit_length())
-            if h == 1:
-                break
-            m ^= low
-        if h == 1:
-            count += 1
-    return count
+    return gcd_histogram(n).with_gcd_n(1)
 
 
 def enumerate_subset_phi_k(n: int, k: int) -> int:
     """Cardinality-k restriction of enumerate_subset_phi."""
     _check_n(n)
-    if k < 1:
-        raise ValueError("cardinality k must be >= 1")
-    count = 0
-    for mask in range(1, 1 << n):
-        if mask.bit_count() != k:
-            continue
-        h = n
-        m = mask
-        while m:
-            low = m & -m
-            h = gcd(h, low.bit_length())
-            if h == 1:
-                break
-            m ^= low
-        if h == 1:
-            count += 1
-    return count
+    _check_k(k)
+    return gcd_histogram(n).with_gcd_n(1, k)
 
 
 def enumerate_subset_psi(n: int, d: int) -> int:
@@ -108,19 +124,7 @@ def enumerate_subset_psi(n: int, d: int) -> int:
     _check_n(n)
     if d < 1 or n % d != 0:
         raise ValueError(f"enumerate_subset_psi requires d | n; got d={d}, n={n}")
-    count = 0
-    for mask in range(1, 1 << n):
-        h = n
-        m = mask
-        while m:
-            low = m & -m
-            h = gcd(h, low.bit_length())
-            if h == 1:
-                break
-            m ^= low
-        if h == d:
-            count += 1
-    return count
+    return gcd_histogram(n).with_gcd_n(d)
 
 
 def enumerate_count_by_gcd(n: int, d: int) -> int:
@@ -128,16 +132,4 @@ def enumerate_count_by_gcd(n: int, d: int) -> int:
     _check_n(n)
     if not 1 <= d <= n:
         raise ValueError(f"enumerate_count_by_gcd requires 1 <= d <= n, got d={d}")
-    count = 0
-    for mask in range(1, 1 << n):
-        g = 0
-        m = mask
-        while m:
-            low = m & -m
-            g = gcd(g, low.bit_length())
-            if g == 1:
-                break
-            m ^= low
-        if g == d:
-            count += 1
-    return count
+    return gcd_histogram(n).with_gcd(d)

@@ -16,6 +16,8 @@ from relprime.affine import (
     sumset,
     sumset_size_distribution,
 )
+from relprime.arith import divisors, mobius_sieve
+from relprime.setphi import subset_phi
 
 WORKED_A = [2, 8, 11, 20]
 WORKED_B = [-4, 10, 17, 38]
@@ -212,6 +214,25 @@ class TestInvariantProfile:
                 assert 2 * k - 1 <= p.difference_size <= k * (k - 1) + 1, subset
 
 
+def reference_distribution(n, k=None, inequivalent_only=False):
+    """Per-mask sumset distribution, as it stood before the bitset walk."""
+    counts = {}
+    seen = set()
+    width = n + 1
+    for mask in range(1, 1 << width):
+        if k is not None and mask.bit_count() != k:
+            continue
+        a = tuple(i for i in range(width) if mask >> i & 1)
+        if inequivalent_only:
+            rep = canonical_form(a).representative
+            if rep in seen:
+                continue
+            seen.add(rep)
+        size = len({x + y for x in a for y in a})
+        counts[size] = counts.get(size, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 class TestSumsetSizeDistribution:
     def test_tiny_interval(self):
         assert sumset_size_distribution(1) == {1: 2, 3: 1}
@@ -240,6 +261,27 @@ class TestSumsetSizeDistribution:
         for n in (3, 5):
             dist = sumset_size_distribution(n)
             assert sum(dist.values()) == 2 ** (n + 1) - 1
+
+    def test_matches_per_mask_reference(self):
+        for n in range(0, 13):
+            for k in [None, *range(1, n + 3)]:
+                for inequivalent_only in (False, True):
+                    got = sumset_size_distribution(n, k, inequivalent_only)
+                    assert got == reference_distribution(n, k, inequivalent_only), (
+                        n, k, inequivalent_only,
+                    )
+
+    def test_class_count_matches_subset_phi(self):
+        # Classes of diameter m >= 2: Phi(m)/2 normalized sets {0,...,m}
+        # with gcd 1, paired by the reflection; sum_{d|m} mu(d) 2^[m/2d]
+        # of them are their own mirror (Burnside).  Add {0} and {0,1}.
+        mu = mobius_sieve(18)
+        expected = 2
+        for m in range(2, 19):
+            symmetric = sum(mu[d] * 2 ** (m // (2 * d)) for d in divisors(m))
+            expected += (subset_phi(m) // 2 + symmetric) // 2
+            total = sum(sumset_size_distribution(m, inequivalent_only=True).values())
+            assert total == expected, m
 
     def test_guard(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,17 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "recursions: 50 checks passed"
 
+    def test_oracle_suite_scans_once_per_n(self, capsys, monkeypatch):
+        from relprime import oracle
+
+        scans = []
+        full_scan = oracle.gcd_histogram
+        monkeypatch.setattr(oracle, "gcd_histogram", lambda n: scans.append(n) or full_scan(n))
+        code, out, _ = run(capsys, "verify", "oracle", "--n-max", "8")
+        assert code == 0
+        assert out.strip() == "oracle: 8 checks passed"
+        assert scans == list(range(1, 9))
+
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "everything")[0] == 2
 
@@ -289,6 +300,16 @@ class TestBench:
         assert len(clears) == 6
         # The last repetition found no weights left over from the one before.
         assert arith._quotient_weights.cache_info().hits == 0
+
+    def test_each_oracle_repetition_scans(self, capsys, monkeypatch):
+        from relprime import oracle
+
+        scans = []
+        full_scan = oracle.gcd_histogram
+        monkeypatch.setattr(oracle, "gcd_histogram", lambda n: scans.append(n) or full_scan(n))
+        code, _, _ = run(capsys, "bench", "--n", "12,13", "--reps", "3")
+        assert code == 0
+        assert scans == [12, 12, 12, 13, 13, 13]
 
     def test_value_mismatch_exits_one(self, capsys, monkeypatch):
         from relprime import oracle

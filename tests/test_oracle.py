@@ -7,6 +7,7 @@ from relprime.counting import count_relprime, count_relprime_k
 from relprime.oracle import (
     ORACLE_MAX,
     enumerate_count_by_gcd,
+    gcd_histogram,
     enumerate_relprime,
     enumerate_relprime_k,
     enumerate_subset_phi,
@@ -26,6 +27,107 @@ def full_gcd_count(n: int) -> int:
             g = math.gcd(g, v)
         total += g == 1
     return total
+
+
+# Reference per-mask scans: one independent 2^n loop per count, kept as
+# the oracle stood before it became a single histogram scan.
+
+def reference_relprime(n: int) -> int:
+    count = 0
+    for mask in range(1, 1 << n):
+        g = 0
+        m = mask
+        while m:
+            low = m & -m
+            g = math.gcd(g, low.bit_length())
+            if g == 1:
+                count += 1
+                break
+            m ^= low
+    return count
+
+
+def reference_relprime_k(n: int, k: int) -> int:
+    count = 0
+    for mask in range(1, 1 << n):
+        if mask.bit_count() != k:
+            continue
+        g = 0
+        m = mask
+        while m:
+            low = m & -m
+            g = math.gcd(g, low.bit_length())
+            if g == 1:
+                count += 1
+                break
+            m ^= low
+    return count
+
+
+def reference_subset_phi(n: int) -> int:
+    count = 0
+    for mask in range(1, 1 << n):
+        h = n  # gcd(h, elements...) ends at gcd(gcd(A), n)
+        m = mask
+        while m:
+            low = m & -m
+            h = math.gcd(h, low.bit_length())
+            if h == 1:
+                break
+            m ^= low
+        if h == 1:
+            count += 1
+    return count
+
+
+def reference_subset_phi_k(n: int, k: int) -> int:
+    count = 0
+    for mask in range(1, 1 << n):
+        if mask.bit_count() != k:
+            continue
+        h = n
+        m = mask
+        while m:
+            low = m & -m
+            h = math.gcd(h, low.bit_length())
+            if h == 1:
+                break
+            m ^= low
+        if h == 1:
+            count += 1
+    return count
+
+
+def reference_subset_psi(n: int, d: int) -> int:
+    count = 0
+    for mask in range(1, 1 << n):
+        h = n
+        m = mask
+        while m:
+            low = m & -m
+            h = math.gcd(h, low.bit_length())
+            if h == 1:
+                break
+            m ^= low
+        if h == d:
+            count += 1
+    return count
+
+
+def reference_count_by_gcd(n: int, d: int) -> int:
+    count = 0
+    for mask in range(1, 1 << n):
+        g = 0
+        m = mask
+        while m:
+            low = m & -m
+            g = math.gcd(g, low.bit_length())
+            if g == 1:
+                break
+            m ^= low
+        if g == d:
+            count += 1
+    return count
 
 
 class TestGuards:
@@ -123,3 +225,26 @@ class TestFormulaAgreement:
         for n in range(1, 15):
             for d in divisors(n):
                 assert enumerate_subset_psi(n, d) == subset_psi(n, d), (n, d)
+
+
+class TestAgainstPerMaskReference:
+    def test_every_projection(self):
+        for n in range(1, 15):
+            assert enumerate_relprime(n) == reference_relprime(n), n
+            assert enumerate_subset_phi(n) == reference_subset_phi(n), n
+            for k in range(1, n + 3):
+                assert enumerate_relprime_k(n, k) == reference_relprime_k(n, k), (n, k)
+                assert enumerate_subset_phi_k(n, k) == reference_subset_phi_k(n, k), (n, k)
+            for d in divisors(n):
+                assert enumerate_subset_psi(n, d) == reference_subset_psi(n, d), (n, d)
+            for d in range(1, n + 1):
+                assert enumerate_count_by_gcd(n, d) == reference_count_by_gcd(n, d), (n, d)
+
+    def test_histogram_covers_every_subset_once(self):
+        # The split into a 2^16 low table and a loop over high parts
+        # starts at n = 17; every (size, gcd) cell sums to C(n, size).
+        for n in (1, 2, 16, 17, 18, 20):
+            counts = gcd_histogram(n).counts
+            assert counts[0] == (1,) + (0,) * n, n
+            for size, row in enumerate(counts):
+                assert sum(row) == math.comb(n, size), (n, size)
