@@ -69,13 +69,18 @@ def affine_map(a: Iterable[int], x, y) -> IntSet:
     y = Fraction(y)
     if x == 0:
         raise ValueError("dilation factor x must be nonzero")
+    # x*e + y = (xn*yd*e + yn*xd) / (xd*yd), so each image is one divmod.
+    slope, shift = x.numerator * y.denominator, y.numerator * x.denominator
+    scale = x.denominator * y.denominator
     image = []
     for e in elems:
-        v = x * e + y
-        if v.denominator != 1:
-            raise ValueError(f"element {e} has non-integral image {v}")
-        image.append(int(v))
-    return tuple(sorted(image))
+        v, r = divmod(slope * e + shift, scale)
+        if r:
+            raise ValueError(f"element {e} has non-integral image {x * e + y}")
+        image.append(v)
+    if slope < 0:  # the map is monotone: decreasing for x < 0
+        image.reverse()
+    return tuple(image)
 
 
 def canonical_form(a: Iterable[int]) -> CanonicalForm:
@@ -141,12 +146,17 @@ def linear_form_image(
 
 
 def invariant_profile(a: Iterable[int]) -> InvariantProfile:
-    """card(A+A) and card(A-A) for the set a."""
+    """card(A+A) and card(A-A) for the set a.
+
+    Built from the sorted elements directly: A+A from the pairs i <= j,
+    and A-A as 0 plus each positive difference and its negative.  Plain
+    sets of values, not bitsets, so sparse sets with huge elements stay
+    cheap.
+    """
     elems = integer_set(a)
-    return InvariantProfile(
-        sumset_size=len(sumset(elems, elems)),
-        difference_size=len(difference_set(elems, elems)),
-    )
+    sums = {x + y for i, x in enumerate(elems) for y in elems[i:]}
+    gaps = {y - x for i, x in enumerate(elems) for y in elems[i + 1 :]}
+    return InvariantProfile(sumset_size=len(sums), difference_size=2 * len(gaps) + 1)
 
 
 def sumset_size_distribution(

@@ -265,8 +265,13 @@ def _quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@lru_cache(maxsize=8)
 def _divisor_weights(n: int) -> tuple[tuple[int, int], ...]:
-    """(mu(d), n/d) for each squarefree divisor d of n, n/d ascending."""
+    """(mu(d), n/d) for each squarefree divisor d of n, n/d ascending.
+
+    Memoized briefly, like _quotient_weights: the divisor-sum checks ask
+    for one n once per sampled k.
+    """
     pairs = [(1, n)]
     for p, _ in _factorization(n):
         pairs += [(-w, q // p) for w, q in pairs]
@@ -285,10 +290,36 @@ def _sum_subsets(weights: tuple[tuple[int, int], ...]) -> int:
     return total
 
 
-# C(n, k) memoized briefly.  The identity checks compare a k-restricted
-# count with C(n, k) (or build a bound from it), and the count's own
-# d = 1 term is that same C(n, k); near k = n/2 it costs milliseconds.
-_comb = lru_cache(maxsize=16)(math.comb)
+# The last central binomial computed, (n, C(n, [n/2])).  Always rebound
+# as a whole tuple, so a thread reads a matching pair or an older one.
+_central = (0, 1)
+
+
+@lru_cache(maxsize=16)
+def _comb(n: int, k: int) -> int:
+    """C(n, k) for n, k >= 0, memoized briefly.
+
+    The identity checks compare a k-restricted count with C(n, k) (or
+    build a bound from it), and the count's own d = 1 term is that same
+    C(n, k); near k = n/2 it costs milliseconds.  The verify suites walk
+    n upward and sample k = [n/2], so a central binomial is stepped from
+    the one at n - 1 when that is the last one computed:
+    C(n, [n/2]) = 2 C(n-1, [(n-1)/2]) for even n and
+    n C(n-1, [(n-1)/2]) / (n - [n/2]) for odd n.
+    """
+    global _central
+    half = n >> 1
+    if min(k, n - k) != half:  # also k > n, where C(n, k) = 0
+        return math.comb(n, k)
+    m, value = _central
+    if m == n:
+        return value
+    if m == n - 1:
+        value = value << 1 if n & 1 == 0 else value * n // (n - half)
+    else:
+        value = math.comb(n, half)
+    _central = (n, value)
+    return value
 
 
 def _sum_k_subsets(weights: tuple[tuple[int, int], ...], k: int) -> int:
@@ -304,8 +335,11 @@ def _sum_k_subsets(weights: tuple[tuple[int, int], ...], k: int) -> int:
 
 def _clear_kernel_memos() -> None:
     """Forget every memo of the kernel, so the next sum is computed cold."""
+    global _central
     _comb.cache_clear()
+    _central = (0, 1)
     _factorization.cache_clear()
     _quotient_blocks.cache_clear()
     _quotient_weights.cache_clear()
+    _divisor_weights.cache_clear()
     _mertens.clear()

@@ -330,11 +330,11 @@ def _suite_affine(trials: int, _k_max):
         x = Fraction(p, q)
         y = Fraction(w * q - p * anchor, q)
         b = affine.affine_map(a, x, y)
-        if affine.canonical_form(a).representative != affine.canonical_form(b).representative:
+        form = affine.canonical_form(a)
+        if form.representative != affine.canonical_form(b).representative:
             return checks, f"representative not preserved for {sorted(a)}"
         if affine.invariant_profile(a) != affine.invariant_profile(b):
             return checks, f"invariant profile not preserved for {sorted(a)}"
-        form = affine.canonical_form(a)
         if affine.canonical_form(form.base).base != form.base:
             return checks, f"canonicalization not idempotent for {sorted(a)}"
         checks += 1
@@ -382,6 +382,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         guard = _effective_oracle_max()
     if not 1 <= n_max <= guard:
         raise UsageError(f"suite {args.suite} requires 1 <= n-max <= {guard}, got {n_max}")
+    if args.k_max is not None and args.k_max < 1:
+        # Below 1 every k-restricted check would be skipped in silence.
+        raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
     checks, failure = suite_fn(n_max, args.k_max)
     if failure is not None:
         print(f"{args.suite}: FAIL after {checks} passing checks: {failure}")

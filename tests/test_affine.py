@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from relprime.affine import (
+    InvariantProfile,
     affine_map,
     affinely_equivalent,
     canonical_form,
@@ -212,6 +213,88 @@ class TestInvariantProfile:
                 p = invariant_profile(subset)
                 assert 2 * k - 1 <= p.sumset_size <= k * (k + 1) // 2, subset
                 assert 2 * k - 1 <= p.difference_size <= k * (k - 1) + 1, subset
+
+
+def reference_affine_map(a, x, y):
+    """affine_map as it stood before the integer-only path."""
+    elems = integer_set(a)
+    x = Fraction(x)
+    y = Fraction(y)
+    if x == 0:
+        raise ValueError("dilation factor x must be nonzero")
+    image = []
+    for e in elems:
+        v = x * e + y
+        if v.denominator != 1:
+            raise ValueError(f"element {e} has non-integral image {v}")
+        image.append(int(v))
+    return tuple(sorted(image))
+
+
+def reference_invariant_profile(a):
+    """invariant_profile as it stood before it built A+A and A-A directly."""
+    elems = integer_set(a)
+    return InvariantProfile(
+        sumset_size=len(sumset(elems, elems)),
+        difference_size=len(difference_set(elems, elems)),
+    )
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+class TestFastPathsMatchReferences:
+    SCALARS = (
+        0, 1, -1, 2, -3, 7, 0.5, -1.5, 0.25, 0.0, 2.0,
+        Fraction(1, 2), Fraction(-7, 3), Fraction(5, 6), Fraction(-26, 3), Fraction(9, 1),
+    )
+
+    def test_affine_map(self):
+        rng = random.Random(41)
+        errors = 0
+        for _ in range(3000):
+            a = random_set(rng, span=rng.choice((5, 30, 10**6)))
+            x, y = rng.choice(self.SCALARS), rng.choice(self.SCALARS)
+            got = outcome(affine_map, a, x, y)
+            assert got == outcome(reference_affine_map, a, x, y), (a, x, y)
+            errors += isinstance(got, str)
+        assert 300 < errors < 2700  # both paths are exercised
+
+    def test_affine_map_on_integral_maps(self):
+        rng = random.Random(43)
+        for _ in range(1000):
+            domain, x, y = random_integral_map(rng, random_set(rng))
+            assert affine_map(domain, x, y) == reference_affine_map(domain, x, y)
+
+    def test_non_integral_message(self):
+        message = "element 3 has non-integral image 3/2"
+        for fn in (affine_map, reference_affine_map):
+            assert outcome(fn, [0, 2, 3, 6], 0.5, 0) == f"ValueError: {message}"
+        assert outcome(affine_map, [1, 4], Fraction(-7, 3), 0.5) == (
+            "ValueError: element 1 has non-integral image -11/6"
+        )
+
+    def test_invariant_profile(self):
+        rng = random.Random(47)
+        for _ in range(2000):
+            a = random_set(rng, size_hi=rng.choice((3, 8, 20)), span=rng.choice((12, 30, 10**9)))
+            assert invariant_profile(a) == reference_invariant_profile(a), a
+
+    def test_invariant_profile_of_sparse_huge_sets(self):
+        # A bitset of A+A would need 10^15 bits here.
+        cases = [
+            ([0, 10**12, -(10**15)], (6, 7)),
+            ([-(10**15), 0, 10**12, 2 * 10**12], (9, 11)),
+            ([0, 10**100], (3, 3)),
+        ]
+        for a, (s, d) in cases:
+            assert invariant_profile(a) == InvariantProfile(s, d)
+            assert invariant_profile(a) == reference_invariant_profile(a)
 
 
 def reference_distribution(n, k=None, inequivalent_only=False):

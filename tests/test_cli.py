@@ -185,6 +185,20 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "everything")[0] == 2
 
+    @pytest.mark.parametrize("suite", ["recursions", "divisor-sums", "bounds", "oracle"])
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_k_max_below_one_is_usage_error(self, capsys, suite, k_max):
+        # It would skip every k-restricted check and still report success.
+        code, out, err = run(capsys, "verify", suite, "--n-max", "5", "--k-max", k_max)
+        assert code == 2
+        assert out == ""
+        assert f"--k-max must be >= 1, got {k_max}" in err
+
+    def test_k_max_of_one_runs(self, capsys):
+        code, out, _ = run(capsys, "verify", "recursions", "--n-max", "5", "--k-max", "1")
+        assert code == 0
+        assert out.strip() == "recursions: 5 checks passed"
+
     def test_oracle_guard(self, capsys):
         code, _, err = run(capsys, "verify", "oracle", "--n-max", "30")
         assert code == 2
@@ -295,11 +309,15 @@ class TestBench:
     def test_each_repetition_starts_cold(self, capsys, monkeypatch):
         clears = []
         monkeypatch.setattr(arith._mertens, "clear", lambda: clears.append(1))
+        arith._divisor_weights(12)
+        monkeypatch.setattr(arith, "_central", (7, 35))
         code, _, _ = run(capsys, "bench", "--n", "12,13", "--reps", "3")
         assert code == 0
         assert len(clears) == 6
         # The last repetition found no weights left over from the one before.
         assert arith._quotient_weights.cache_info().hits == 0
+        assert arith._divisor_weights.cache_info().currsize == 0
+        assert arith._central == (0, 1)
 
     def test_each_oracle_repetition_scans(self, capsys, monkeypatch):
         from relprime import oracle

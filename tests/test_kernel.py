@@ -14,9 +14,12 @@ import pytest
 
 from relprime.arith import (
     _Mertens,
+    _clear_kernel_memos,
+    _comb,
     _divisor_weights,
     _mertens,
     _quotient_weights,
+    binomial,
     mobius_sieve,
 )
 from relprime.counting import count_relprime, count_relprime_k
@@ -131,6 +134,67 @@ class TestMertens:
                 t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert wrong == []
+
+
+class TestCentralBinomial:
+    """C(n, [n/2]) is stepped from n - 1 when that was the last one computed."""
+
+    ORDERS = {
+        "ascending": range(3001),
+        "descending": range(3000, -1, -1),
+        "every second": range(0, 3001, 2),
+        "every seventh": range(0, 3001, 7),
+        "repeated": [n for n in range(0, 3001, 50) for _ in range(3)]
+        + [n for n in range(1000, 1011) for _ in range(2)],
+    }
+
+    @pytest.fixture(scope="class")
+    def central(self):
+        return [math.comb(n, n // 2) for n in range(3001)]
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_matches_math_comb(self, order, central):
+        _clear_kernel_memos()
+        for n in self.ORDERS[order]:
+            assert _comb(n, n // 2) == central[n], n
+            assert _comb(n, n - n // 2) == central[n], n
+            assert binomial(n, n // 2) == central[n], n
+        _clear_kernel_memos()
+
+    def test_other_arguments_fall_back(self):
+        _clear_kernel_memos()
+        for n in range(40):
+            for k in range(n + 3):
+                assert _comb(n, k) == math.comb(n, k), (n, k)
+        assert _comb(10**4, 3) == math.comb(10**4, 3)
+        _clear_kernel_memos()
+
+    def test_threads_read_exact_values(self, central):
+        _clear_kernel_memos()
+        walks = [range(0, 1001), range(1000, 2001), range(500, 1501), range(2000, -1, -3)]
+        wrong: list[int] = []
+        finished: list[int] = []  # an exception in a thread skips its append
+
+        def work(index: int) -> None:
+            for n in walks[index]:
+                if _comb(n, n // 2) != central[n] or binomial(n, n - n // 2) != central[n]:
+                    wrong.append(n)
+            finished.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(walks))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            _clear_kernel_memos()
         assert not any(t.is_alive() for t in threads)
         assert sorted(finished) == [0, 1, 2, 3]
         assert wrong == []
