@@ -295,17 +295,19 @@ def _sum_subsets(weights: tuple[tuple[int, int], ...]) -> int:
 _central = (0, 1)
 
 
-@lru_cache(maxsize=16)
 def _comb(n: int, k: int) -> int:
-    """C(n, k) for n, k >= 0, memoized briefly.
+    """C(n, k) for n, k >= 0, with the last central binomial kept.
 
-    The identity checks compare a k-restricted count with C(n, k) (or
-    build a bound from it), and the count's own d = 1 term is that same
-    C(n, k); near k = n/2 it costs milliseconds.  The verify suites walk
-    n upward and sample k = [n/2], so a central binomial is stepped from
-    the one at n - 1 when that is the last one computed:
+    A central binomial C(n, [n/2]) costs milliseconds at large n.  The
+    identity checks ask for one twice in a row, as the d = 1 term of a
+    k-restricted count and as the C(n, k) that count is compared with,
+    and the verify suites walk n upward with k = [n/2] sampled.  So
+    _central, the only binomial memo, holds the last one: the same n is
+    read back, n is stepped from n - 1 when that is the one held,
     C(n, [n/2]) = 2 C(n-1, [(n-1)/2]) for even n and
-    n C(n-1, [(n-1)/2]) / (n - [n/2]) for odd n.
+    n C(n-1, [(n-1)/2]) / (n - [n/2]) for odd n,
+    and any other n pays one math.comb.  Other (n, k) go straight to
+    math.comb.
     """
     global _central
     half = n >> 1
@@ -326,7 +328,7 @@ def _sum_k_subsets(weights: tuple[tuple[int, int], ...], k: int) -> int:
     """sum of w * C(q, k) over (w, q) with q >= k: weighted k-subset counts.
 
     The last pair is (mu(1), n) = (1, n) for both kinds of weights; its
-    C(n, k) goes through the memo that binomial() reads.
+    C(n, k) goes through _comb, like binomial().
     """
     last = len(weights) - 1
     total = sum(w * math.comb(q, k) for w, q in weights[:last] if q >= k)
@@ -336,7 +338,6 @@ def _sum_k_subsets(weights: tuple[tuple[int, int], ...], k: int) -> int:
 def _clear_kernel_memos() -> None:
     """Forget every memo of the kernel, so the next sum is computed cold."""
     global _central
-    _comb.cache_clear()
     _central = (0, 1)
     _factorization.cache_clear()
     _quotient_blocks.cache_clear()

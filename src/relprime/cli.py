@@ -16,7 +16,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import affine, arith, counting, oracle, setphi
@@ -28,27 +27,6 @@ VERIFY_MAX_N = 10_000
 
 class UsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted result; value is an exact decimal string."""
-
-    n: int
-    value: str
-    method: str
-    elapsed_ms: float
-    k: int | None = None
-    d: int | None = None
-
-    def to_json(self) -> str:
-        fields: dict = {"n": self.n}
-        if self.k is not None:
-            fields["k"] = self.k
-        if self.d is not None:
-            fields["d"] = self.d
-        fields.update(value=self.value, method=self.method, elapsed_ms=self.elapsed_ms)
-        return json.dumps(fields)
 
 
 def _parse_positive(text: str, what: str) -> int:
@@ -193,7 +171,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             if n % args.d:
                 raise UsageError(f"psi requires d | n; {args.d} does not divide {n}")
 
-    records = []
+    rows = []
     for n in ns:
         start = time.perf_counter()
         if args.function == "f":
@@ -207,88 +185,74 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         else:
             value = setphi.subset_psi(n, args.d)
         elapsed = time.perf_counter() - start
-        report = counting.CountReport(
-            n=n, count=value, method="formula", elapsed=elapsed, k=args.k, d=args.d
-        )
-        records.append(
-            OutputRecord(
-                n=report.n,
-                value=_decimal(report.count),
-                method=report.method,
-                elapsed_ms=report.elapsed * 1000.0,
-                k=report.k,
-                d=report.d,
-            )
-        )
+        rows.append((n, _decimal(value), elapsed))
 
     if args.format == "plain":
-        print(" ".join(rec.value for rec in records))
+        print(" ".join(value for _, value, _ in rows))
     elif args.format == "json":
-        for rec in records:
-            print(rec.to_json())
+        given = {name: v for name, v in (("k", args.k), ("d", args.d)) if v is not None}
+        for n, value, elapsed in rows:
+            record = {"n": n, **given, "value": value, "method": "formula",
+                      "elapsed_ms": elapsed * 1000.0}
+            print(json.dumps(record))
     else:  # bfile
-        for rec in records:
-            print(f"{rec.n} {rec.value}")
+        for n, value, _ in rows:
+            print(f"{n} {value}")
     return 0
 
 
 # ----------------------------------------------------------------- verify
 
-def _suite_recursions(n_max: int, k_max: int | None):
-    # One check per n, covering the unrestricted recursion and the
-    # sampled cardinality-restricted ones at that n.
+def _suite_sampled(n_max: int, k_max: int | None, first_n: int, stem: str, at_n, at_nk):
+    """One check per n from first_n: at_n(n), then at_nk(n, k) per sampled k."""
     checks = 0
-    for n in range(1, n_max + 1):
-        if not counting.verify_recursion(n):
-            return checks, f"count recursion failed at n={n}"
+    for n in range(first_n, n_max + 1):
+        if not at_n(n):
+            return checks, f"{stem} at n={n}"
         for k in _sampled_ks(n, k_max):
-            if not counting.verify_recursion_k(n, k):
-                return checks, f"count recursion failed at n={n}, k={k}"
+            if not at_nk(n, k):
+                return checks, f"{stem} at n={n}, k={k}"
         checks += 1
     return checks, None
+
+
+def _within(bounds: tuple[int, int], value: int) -> bool:
+    lo, hi = bounds
+    return lo <= value <= hi
+
+
+def _suite_recursions(n_max: int, k_max: int | None):
+    return _suite_sampled(
+        n_max, k_max, 1, "count recursion failed",
+        counting.verify_recursion, counting.verify_recursion_k,
+    )
 
 
 def _suite_divisor_sums(n_max: int, k_max: int | None):
-    checks = 0
-    for n in range(1, n_max + 1):
-        if not setphi.verify_divisor_sum(n):
-            return checks, f"divisor sum failed at n={n}"
-        for k in _sampled_ks(n, k_max):
-            if not setphi.verify_divisor_sum_k(n, k):
-                return checks, f"divisor sum failed at n={n}, k={k}"
-        checks += 1
-    return checks, None
+    return _suite_sampled(
+        n_max, k_max, 1, "divisor sum failed",
+        setphi.verify_divisor_sum, setphi.verify_divisor_sum_k,
+    )
 
 
 def _suite_bounds(n_max: int, k_max: int | None):
     # The unrestricted sandwich is checked from n = 2 on; see the
     # bounds discussion in the README.
-    checks = 0
-    for n in range(1, n_max + 1):
-        if n >= 2:
-            lo, hi = counting.sandwich_bounds(n)
-            if not lo <= counting.count_relprime(n) <= hi:
-                return checks, f"sandwich violated at n={n}"
-        for k in _sampled_ks(n, k_max):
-            lo, hi = counting.sandwich_bounds_k(n, k)
-            if not lo <= counting.count_relprime_k(n, k) <= hi:
-                return checks, f"sandwich violated at n={n}, k={k}"
-        checks += 1
-    return checks, None
+    return _suite_sampled(
+        n_max, k_max, 1, "sandwich violated",
+        lambda n: n < 2 or _within(counting.sandwich_bounds(n), counting.count_relprime(n)),
+        lambda n, k: _within(counting.sandwich_bounds_k(n, k), counting.count_relprime_k(n, k)),
+    )
 
 
 def _suite_asymptotics(n_max: int, k_max: int | None):
-    checks = 0
-    for n in range(2, n_max + 1):
-        report = setphi.asymptotic_report(n)
-        if abs(report.residual) > setphi.residual_bound(n):
-            return checks, f"residual envelope violated at n={n}"
-        for k in _sampled_ks(n, k_max):
-            report = setphi.asymptotic_report_k(n, k)
-            if abs(report.residual) > setphi.residual_bound_k(n, k):
-                return checks, f"residual envelope violated at n={n}, k={k}"
-        checks += 1
-    return checks, None
+    return _suite_sampled(
+        n_max, k_max, 2, "residual envelope violated",
+        lambda n: abs(setphi.asymptotic_report(n).residual) <= setphi.residual_bound(n),
+        lambda n, k: (
+            abs(setphi.asymptotic_report_k(n, k).residual) <= setphi.residual_bound_k(n, k)
+        ),
+    )
 
 
 def _suite_oracle(n_max: int, k_max: int | None):
@@ -456,22 +420,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             start = time.perf_counter()
             oracle_value = oracle.enumerate_relprime(n)
             oracle_s = min(oracle_s, time.perf_counter() - start)
-        formula = counting.CountReport(
-            n=n, count=formula_value, method="formula", elapsed=formula_s
-        )
-        enumerated = counting.CountReport(
-            n=n, count=oracle_value, method="oracle", elapsed=oracle_s
-        )
-        if formula.count != enumerated.count:
+        if formula_value != oracle_value:
             print(
-                f"n={n}: MISMATCH formula={formula.count} enumeration={enumerated.count}",
+                f"n={n}: MISMATCH formula={formula_value} enumeration={oracle_value}",
                 file=sys.stderr,
             )
             return 1
-        speedup = enumerated.elapsed / max(formula.elapsed, 1e-9)
+        speedup = oracle_s / max(formula_s, 1e-9)
         print(
-            f"n={n} formula_ms={formula.elapsed * 1000.0:.4f} "
-            f"oracle_ms={enumerated.elapsed * 1000.0:.4f} speedup={speedup:.1f}"
+            f"n={n} formula_ms={formula_s * 1000.0:.4f} "
+            f"oracle_ms={oracle_s * 1000.0:.4f} speedup={speedup:.1f}"
         )
     return 0
 

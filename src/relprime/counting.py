@@ -57,21 +57,18 @@ def count_relprime(n: int) -> int:
     return _sum_subsets(_quotient_weights(n))
 
 
+@lru_cache(maxsize=None)
 def count_relprime_k(n: int, k: int) -> int:
     """Number of k-element subsets of {1,...,n} with gcd 1; 0 when k > n.
 
-    Memoized like count_relprime, except for the zeros at k > n: the
-    recursion checks with k near n ask for those at nearly every [n/d].
+    Memoized like count_relprime.  The recursion checks never ask for
+    the k > n zeros (see verify_recursion_k), which would otherwise be
+    most of the cache.
     """
     if n < 1 or k < 1:
         raise ValueError("count_relprime_k requires n >= 1 and k >= 1")
     if k > n:
         return 0
-    return _count_relprime_k(n, k)
-
-
-@lru_cache(maxsize=None)
-def _count_relprime_k(n: int, k: int) -> int:
     return _sum_k_subsets(_quotient_weights(n), k)
 
 
@@ -109,10 +106,19 @@ def verify_recursion(n: int) -> bool:
 
 
 def verify_recursion_k(n: int, k: int) -> bool:
-    """True iff sum_{d=1..n} count_relprime_k([n/d], k) = C(n, k) exactly."""
+    """True iff sum_{d=1..n} count_relprime_k([n/d], k) = C(n, k) exactly.
+
+    Terms with q = [n/d] < k count k-subsets of a smaller set and are 0.
+    The blocks arrive with q descending, so the sum stops at the first
+    such block; the q = k term is 1 and stays in.
+    """
     if n < 1 or k < 1:
         raise ValueError("verify_recursion_k requires n >= 1 and k >= 1")
-    total = sum(size * count_relprime_k(q, k) for size, q in _quotient_blocks(n))
+    total = 0
+    for size, q in _quotient_blocks(n):
+        if q < k:
+            break
+        total += size * count_relprime_k(q, k)
     return total == binomial(n, k)
 
 

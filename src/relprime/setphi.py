@@ -53,21 +53,18 @@ def subset_phi(n: int) -> int:
     return _sum_subsets(_divisor_weights(n))
 
 
+@lru_cache(maxsize=None)
 def subset_phi_k(n: int, k: int) -> int:
     """Count of k-element subsets of {1,...,n} whose gcd is coprime to n.
 
-    Memoized like subset_phi, except for the zeros at k > n: the
-    divisor-sum checks with k near n ask for those at nearly every d | n.
+    0 when k > n.  Memoized like subset_phi.  The divisor-sum checks
+    never ask for the k > n zeros (see verify_divisor_sum_k), which
+    would otherwise be most of the cache.
     """
     if n < 1 or k < 1:
         raise ValueError("subset_phi_k requires n >= 1 and k >= 1")
     if k > n:
         return 0
-    return _subset_phi_k(n, k)
-
-
-@lru_cache(maxsize=None)
-def _subset_phi_k(n: int, k: int) -> int:
     return _sum_k_subsets(_divisor_weights(n), k)
 
 
@@ -92,10 +89,14 @@ def verify_divisor_sum(n: int) -> bool:
 
 
 def verify_divisor_sum_k(n: int, k: int) -> bool:
-    """True iff sum_{d|n} subset_phi_k(d, k) = C(n, k) exactly."""
+    """True iff sum_{d|n} subset_phi_k(d, k) = C(n, k) exactly.
+
+    Divisors d < k contribute subset_phi_k(d, k) = 0 and are skipped;
+    the d = k term is 1 and stays in.
+    """
     if n < 1 or k < 1:
         raise ValueError("verify_divisor_sum_k requires n >= 1 and k >= 1")
-    return sum(subset_phi_k(d, k) for d in divisors(n)) == binomial(n, k)
+    return sum(subset_phi_k(d, k) for d in divisors(n) if d >= k) == binomial(n, k)
 
 
 def asymptotic_report(n: int) -> PhiReport:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -103,6 +104,91 @@ class TestCompute:
         assert "divide" in err
 
 
+def _mask_elapsed(out: str) -> str:
+    return re.sub(r'"elapsed_ms": [^}]+}', '"elapsed_ms": MASKED}', out)
+
+
+class TestComputeBytes:
+    """compute's exact output and error bytes."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            ("fk --n 3..5 --k 2 --format json",
+             '{"n": 3, "k": 2, "value": "3", "method": "formula", "elapsed_ms": MASKED}\n'
+             '{"n": 4, "k": 2, "value": "5", "method": "formula", "elapsed_ms": MASKED}\n'
+             '{"n": 5, "k": 2, "value": "9", "method": "formula", "elapsed_ms": MASKED}\n'),
+            ("psi --n 6,12 --d 2 --format json",
+             '{"n": 6, "d": 2, "value": "6", "method": "formula", "elapsed_ms": MASKED}\n'
+             '{"n": 12, "d": 2, "value": "54", "method": "formula", "elapsed_ms": MASKED}\n'),
+            ("phik --n 6 --k 2 --format json",
+             '{"n": 6, "k": 2, "value": "11", "method": "formula", "elapsed_ms": MASKED}\n'),
+            ("f --n 3 --format json",
+             '{"n": 3, "value": "5", "method": "formula", "elapsed_ms": MASKED}\n'),
+            ("phi --n 1..6", "1 2 6 12 30 54\n"),
+            ("fk --n 2..4 --k 3 --format plain", "0 1 4\n"),
+            ("f --n 8..10 --format bfile", "8 236\n9 488\n10 983\n"),
+            ("phik --n 4,6 --k 3 --format bfile", "4 4\n6 19\n"),
+            ("psi --n 4,6 --d 2 --format bfile", "4 2\n6 6\n"),
+        ],
+    )
+    def test_output_lines(self, capsys, argv, expected):
+        code, out, err = run(capsys, "compute", *argv.split())
+        assert (code, _mask_elapsed(out), err) == (0, expected, "")
+        for line in out.splitlines() if "json" in argv else ():
+            assert json.loads(line)["elapsed_ms"] >= 0.0
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("fk --n 5", "function fk requires --k"),
+            ("phik --n 5 --d 1", "function phik requires --k"),
+            ("f --n 4 --k 2", "function f does not take --k"),
+            ("f --n 5 --k 0", "function f does not take --k"),
+            ("psi --n 6 --d 0 --k 1", "function psi does not take --k"),
+            ("psi --n 6", "function psi requires --d"),
+            ("phi --n 6 --d 2", "function phi does not take --d"),
+            ("phi --n 6 --d 0", "function phi does not take --d"),
+            ("fk --n 5 --k 0 --d 3", "function fk does not take --d"),
+            ("fk --n 5 --k 0", "--k must be >= 1, got 0"),
+            ("phik --n 0 --k -1", "--k must be >= 1, got -1"),
+            ("psi --n 6 --d 0", "--d must be >= 1, got 0"),
+            ("psi --n x --d 0", "--d must be >= 1, got 0"),
+            ("fk --n 0 --k 1", "n must be >= 1, got 0"),
+            ("psi --n 0 --d 4", "n must be >= 1, got 0"),
+            ("psi --n 6,8 --d 4", "psi requires d | n; 4 does not divide 6"),
+            ("psi --n 8,6 --d 4", "psi requires d | n; 4 does not divide 6"),
+            ("f --n 5..x", "range end must be an integer, got 'x'"),
+            ("f --n a..3", "range start must be an integer, got 'a'"),
+            ("f --n 9..5", "empty range '9..5'"),
+            ("f --n 1,,2", "n must be an integer, got ''"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        assert run(capsys, "compute", *argv.split()) == (2, "", f"error: {message}\n")
+
+    def test_elapsed_times_the_count_only(self, capsys, monkeypatch):
+        from types import SimpleNamespace
+
+        from relprime import cli, counting
+
+        clock = [0.0]
+
+        def advance(seconds, result):
+            clock[0] += seconds
+            return result
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(counting, "count_relprime_k", lambda n, k: advance(0.25, n))
+        monkeypatch.setattr(cli, "_decimal", lambda value: advance(1000.0, str(value)))
+        code, out, _ = run(capsys, "compute", "fk", "--n", "7,9", "--k", "2", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"n": 7, "k": 2, "value": "7", "method": "formula", "elapsed_ms": 250.0}\n'
+            '{"n": 9, "k": 2, "value": "9", "method": "formula", "elapsed_ms": 250.0}\n'
+        )
+
+
 # 2^14300 has 4305 decimal digits, just past CPython's default limit of
 # 4300; the expected values are compared as Decimals, which never go
 # through int-to-string conversion, so the limit stays as it is.
@@ -171,6 +257,22 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "recursions: 50 checks passed"
 
+    @pytest.mark.parametrize("suite", ["recursions", "divisor-sums"])
+    def test_identity_suites_ask_for_no_zero_terms(self, capsys, monkeypatch, suite):
+        # f_k(q) and Phi_k(q) vanish for q < k; the identities skip those terms.
+        from relprime import counting, setphi
+
+        asked = []
+        for module, name in ((counting, "count_relprime_k"), (setphi, "subset_phi_k")):
+            count = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda n, k, count=count: asked.append((n, k)) or count(n, k)
+            )
+        code, out, _ = run(capsys, "verify", suite, "--n-max", "300")
+        assert (code, out) == (0, f"{suite}: 300 checks passed\n")
+        assert len(asked) > 300
+        assert [(n, k) for n, k in asked if k > n] == []
+
     def test_oracle_suite_scans_once_per_n(self, capsys, monkeypatch):
         from relprime import oracle
 
@@ -235,6 +337,34 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "recursions", "--n-max", "10")
         assert code == 1
         assert "FAIL" in out and "n=3" in out
+
+    @pytest.mark.parametrize(
+        "suite,module,name,broken,failure",
+        [
+            ("recursions", "counting", "verify_recursion", lambda n: n < 4,
+             "3 passing checks: count recursion failed at n=4"),
+            ("recursions", "counting", "verify_recursion_k", lambda n, k: k < 3,
+             "2 passing checks: count recursion failed at n=3, k=3"),
+            ("divisor-sums", "setphi", "verify_divisor_sum", lambda n: n < 5,
+             "4 passing checks: divisor sum failed at n=5"),
+            ("divisor-sums", "setphi", "verify_divisor_sum_k", lambda n, k: k != 2,
+             "1 passing checks: divisor sum failed at n=2, k=2"),
+            ("bounds", "counting", "count_relprime", lambda n: -1,
+             "1 passing checks: sandwich violated at n=2"),
+            ("bounds", "counting", "count_relprime_k", lambda n, k: -1,
+             "0 passing checks: sandwich violated at n=1, k=1"),
+            ("asymptotics", "setphi", "residual_bound", lambda n: -1,
+             "0 passing checks: residual envelope violated at n=2"),
+            ("asymptotics", "setphi", "residual_bound_k", lambda n, k: -1 if n > 6 else 1 << n,
+             "5 passing checks: residual envelope violated at n=7, k=1"),
+        ],
+    )
+    def test_failure_messages(self, capsys, monkeypatch, suite, module, name, broken, failure):
+        from relprime import counting, setphi
+
+        monkeypatch.setattr({"counting": counting, "setphi": setphi}[module], name, broken)
+        code, out, err = run(capsys, "verify", suite, "--n-max", "10")
+        assert (code, out, err) == (1, f"{suite}: FAIL after {failure}\n", "")
 
 
 class TestAffine:

@@ -83,6 +83,12 @@ class TestCountRelprimeK:
             total = sum(count_relprime_k(n, k) for k in range(1, n + 1))
             assert total == count_relprime(n), n
 
+    def test_memoized(self):
+        count_relprime_k.cache_clear()
+        assert count_relprime_k(30, 4) == count_relprime_k(30, 4)
+        info = count_relprime_k.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
     def test_rejects_zero_arguments(self):
         with pytest.raises(ValueError):
             count_relprime_k(0, 1)

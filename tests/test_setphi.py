@@ -109,6 +109,12 @@ class TestSubsetPhiK:
             total = sum(subset_phi_k(n, k) for k in range(1, n + 1))
             assert total == subset_phi(n), n
 
+    def test_memoized(self):
+        subset_phi_k.cache_clear()
+        assert subset_phi_k(30, 4) == subset_phi_k(30, 4)
+        info = subset_phi_k.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
     def test_rejects_zero_arguments(self):
         with pytest.raises(ValueError):
             subset_phi_k(0, 1)
