@@ -2,108 +2,95 @@
 phi functions, and affine canonicalization of finite integer sets.
 
 All arithmetic is exact; counts of size 2^n are plain Python ints.
-"""
 
-from .affine import (
-    CanonicalForm,
-    InvariantProfile,
-    affine_map,
-    affinely_equivalent,
-    canonical_form,
-    difference_set,
-    integer_set,
-    invariant_profile,
-    linear_form_image,
-    sumset,
-    sumset_size_distribution,
-)
-from .arith import (
-    MobiusTable,
-    binomial,
-    divisors,
-    euler_phi,
-    gcd_set,
-    mobius_sieve,
-    pow2_minus_1,
-    shared_mobius,
-)
-from .counting import (
-    CountReport,
-    construction_lower_bound,
-    count_relprime,
-    count_relprime_k,
-    sandwich_bounds,
-    sandwich_bounds_k,
-    verify_recursion,
-    verify_recursion_k,
-)
-from .oracle import (
-    ORACLE_MAX,
-    enumerate_count_by_gcd,
-    enumerate_relprime,
-    enumerate_relprime_k,
-    enumerate_subset_phi,
-    enumerate_subset_phi_k,
-    enumerate_subset_psi,
-)
-from .setphi import (
-    PhiReport,
-    asymptotic_report,
-    asymptotic_report_k,
-    residual_bound,
-    residual_bound_k,
-    subset_phi,
-    subset_phi_k,
-    subset_psi,
-    verify_divisor_sum,
-    verify_divisor_sum_k,
-)
+Importing the package loads none of its modules.  Each exported name,
+and each submodule (relprime.affine, relprime.oracle, ...), is imported
+from its home module on first access and kept, so a command line run
+pays only for the modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalForm",
-    "CountReport",
-    "InvariantProfile",
-    "MobiusTable",
-    "ORACLE_MAX",
-    "PhiReport",
-    "affine_map",
-    "affinely_equivalent",
-    "asymptotic_report",
-    "asymptotic_report_k",
-    "binomial",
-    "canonical_form",
-    "construction_lower_bound",
-    "count_relprime",
-    "count_relprime_k",
-    "difference_set",
-    "divisors",
-    "enumerate_count_by_gcd",
-    "enumerate_relprime",
-    "enumerate_relprime_k",
-    "enumerate_subset_phi",
-    "enumerate_subset_phi_k",
-    "enumerate_subset_psi",
-    "euler_phi",
-    "gcd_set",
-    "integer_set",
-    "invariant_profile",
-    "linear_form_image",
-    "mobius_sieve",
-    "pow2_minus_1",
-    "residual_bound",
-    "residual_bound_k",
-    "sandwich_bounds",
-    "sandwich_bounds_k",
-    "shared_mobius",
-    "subset_phi",
-    "subset_phi_k",
-    "subset_psi",
-    "sumset",
-    "sumset_size_distribution",
-    "verify_divisor_sum",
-    "verify_divisor_sum_k",
-    "verify_recursion",
-    "verify_recursion_k",
-]
+# Each exported name and the module it lives in.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("affine", (
+            "CanonicalForm",
+            "InvariantProfile",
+            "affine_map",
+            "affinely_equivalent",
+            "canonical_form",
+            "difference_set",
+            "integer_set",
+            "invariant_profile",
+            "linear_form_image",
+            "sumset",
+            "sumset_size_distribution",
+        )),
+        ("arith", (
+            "MobiusTable",
+            "binomial",
+            "divisors",
+            "euler_phi",
+            "gcd_set",
+            "mobius_sieve",
+            "pow2_minus_1",
+            "shared_mobius",
+        )),
+        ("counting", (
+            "CountReport",
+            "construction_lower_bound",
+            "count_relprime",
+            "count_relprime_k",
+            "sandwich_bounds",
+            "sandwich_bounds_k",
+            "verify_recursion",
+            "verify_recursion_k",
+        )),
+        ("oracle", (
+            "ORACLE_MAX",
+            "enumerate_count_by_gcd",
+            "enumerate_relprime",
+            "enumerate_relprime_k",
+            "enumerate_subset_phi",
+            "enumerate_subset_phi_k",
+            "enumerate_subset_psi",
+        )),
+        ("setphi", (
+            "PhiReport",
+            "asymptotic_report",
+            "asymptotic_report_k",
+            "residual_bound",
+            "residual_bound_k",
+            "subset_phi",
+            "subset_phi_k",
+            "subset_psi",
+            "verify_divisor_sum",
+            "verify_divisor_sum_k",
+        )),
+    )
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # The import system binds the submodule in this namespace; the
+        # builtin __import__, unlike importlib, shows up in -X importtime.
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__getattr__(home), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

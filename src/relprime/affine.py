@@ -13,11 +13,9 @@ the image size of any integer linear form evaluated over the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .arith import gcd_set
 
@@ -35,8 +33,7 @@ def integer_set(elements: Iterable[int]) -> IntSet:
     return out
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """The two normalized forms of an affine class plus one representative.
 
     base and mirror both start at 0 and have gcd 1 (for sets of size >= 2);
@@ -50,8 +47,7 @@ class CanonicalForm:
     representative: IntSet
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
+class InvariantProfile(NamedTuple):
     """Cardinalities of A+A and A-A, both affine invariants."""
 
     sumset_size: int
@@ -64,6 +60,8 @@ def affine_map(a: Iterable[int], x, y) -> IntSet:
     x and y may be ints or fractions; x = 0 is rejected (the map must be
     injective) and any element with a non-integral image is reported.
     """
+    from fractions import Fraction  # only maps pay for fractions and decimal
+
     elems = integer_set(a)
     x = Fraction(x)
     y = Fraction(y)

@@ -11,14 +11,13 @@ surfaces as one.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 import time
-from fractions import Fraction
 
-from . import affine, arith, counting, oracle, setphi
+# oracle, affine and the heavier standard modules are imported by the
+# commands that use them, so that start-up pays only for what runs.
+from . import arith, counting, setphi
 from .arith import divisors
 
 ENV_ORACLE_MAX = "RELPRIME_ORACLE_MAX"
@@ -122,6 +121,8 @@ def _format_set(elems) -> str:
 
 def _effective_oracle_max() -> int:
     """Hard ceiling ORACLE_MAX, lowered (never raised) by the environment."""
+    from . import oracle
+
     raw = os.environ.get(ENV_ORACLE_MAX)
     if raw is None:
         return oracle.ORACLE_MAX
@@ -190,6 +191,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.format == "plain":
         print(" ".join(value for _, value, _ in rows))
     elif args.format == "json":
+        import json
+
         given = {name: v for name, v in (("k", args.k), ("d", args.d)) if v is not None}
         for n, value, elapsed in rows:
             record = {"n": n, **given, "value": value, "method": "formula",
@@ -256,6 +259,8 @@ def _suite_asymptotics(n_max: int, k_max: int | None):
 
 
 def _suite_oracle(n_max: int, k_max: int | None):
+    from . import oracle
+
     checks = 0
     for n in range(1, n_max + 1):
         scan = oracle.gcd_histogram(n)  # one 2^n scan serves every check at n
@@ -277,6 +282,11 @@ def _suite_oracle(n_max: int, k_max: int | None):
 
 
 def _suite_affine(trials: int, _k_max):
+    import random
+    from fractions import Fraction
+
+    from . import affine
+
     rng = random.Random(20070103)
     checks = 0
     for _ in range(trials):
@@ -360,6 +370,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- affine
 
 def _cmd_affine(args: argparse.Namespace) -> int:
+    from . import affine
+
     action = args.action
     sets = [_parse_set(text) for text in args.set or []]
     if action in ("canon", "profile") and len(sets) != 1:
@@ -399,6 +411,8 @@ def _cmd_affine(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ bench
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from . import oracle
+
     ns = _parse_n_list(args.n)
     reps = args.reps
     if reps < 1:

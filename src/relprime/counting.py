@@ -20,8 +20,8 @@ run over the quotient blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import (
     _quotient_blocks,
@@ -32,8 +32,7 @@ from .arith import (
 )
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """One computed count with its provenance and timing."""
 
     n: int

@@ -19,8 +19,8 @@ argument from launching a 2^40 run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 ORACLE_MAX = 26
 _LOW_BITS = 16  # the low table holds the gcds of 2^16 subsets
@@ -36,8 +36,7 @@ def _check_k(k: int) -> None:
         raise ValueError("cardinality k must be >= 1")
 
 
-@dataclass(frozen=True)
-class GcdHistogram:
+class GcdHistogram(NamedTuple):
     """counts[k][g]: subsets of {1,...,n} with k elements and gcd g.
 
     The empty set is the single entry counts[0][0]; the counts below

@@ -24,14 +24,13 @@ by the gcd they share with n and reduces to subset_phi(n/d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import _divisor_weights, _sum_k_subsets, _sum_subsets, binomial, divisors
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     """A subset-phi value split into its leading term and residual.
 
     value = main_term + residual always holds; main_term is 2^n for odd
