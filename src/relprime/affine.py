@@ -17,8 +17,6 @@ from itertools import product
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from .arith import gcd_set
-
 DIST_MAX_N = 20  # the 2^n subsets of {0,...,n} that contain 0 are walked
 LINEAR_FORM_MAX_TUPLES = 10_000_000
 
@@ -93,7 +91,7 @@ def canonical_form(a: Iterable[int]) -> CanonicalForm:
         return CanonicalForm(zero, zero, zero)
     origin = elems[0]
     shifted = tuple(e - origin for e in elems)
-    g = gcd_set(shifted[1:])
+    g = gcd(*shifted)
     base = tuple(e // g for e in shifted)
     top = base[-1]
     mirror = tuple(top - e for e in reversed(base))
@@ -117,24 +115,19 @@ def difference_set(a: Iterable[int], b: Iterable[int]) -> IntSet:
     return tuple(sorted({x - y for x in ea for y in eb}))
 
 
-def linear_form_image(
-    a: Iterable[int],
-    coeffs: Iterable[int],
-    offset: int = 0,
-    max_tuples: int = LINEAR_FORM_MAX_TUPLES,
-) -> IntSet:
+def linear_form_image(a: Iterable[int], coeffs: Iterable[int], offset: int = 0) -> IntSet:
     """Image {u_1*a_1 + ... + u_m*a_m + offset} over all m-tuples from a.
 
     Tuples range with repetition, so the expansion has |a|^m terms; the
-    max_tuples ceiling guards against accidental blowups.
+    LINEAR_FORM_MAX_TUPLES ceiling guards against accidental blowups.
     """
     elems = integer_set(a)
     us = tuple(int(u) for u in coeffs)
     if not us:
         raise ValueError("coefficient list must be nonempty")
-    if len(elems) ** len(us) > max_tuples:
+    if len(elems) ** len(us) > LINEAR_FORM_MAX_TUPLES:
         raise ValueError(
-            f"{len(elems)}^{len(us)} tuples exceeds the ceiling of {max_tuples}"
+            f"{len(elems)}^{len(us)} tuples exceeds the ceiling of {LINEAR_FORM_MAX_TUPLES}"
         )
     values = {
         offset + sum(u * t for u, t in zip(us, tup))

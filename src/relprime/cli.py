@@ -22,6 +22,7 @@ from .arith import divisors
 
 ENV_ORACLE_MAX = "RELPRIME_ORACLE_MAX"
 VERIFY_MAX_N = 10_000
+_DEFAULT_N_MAX = 1000  # verify --n-max when omitted, lowered to the suite's cap
 
 
 class UsageError(Exception):
@@ -143,48 +144,42 @@ def _sampled_ks(n: int, k_max: int | None) -> list[int]:
 
 # ---------------------------------------------------------------- compute
 
-_COMPUTE_ARITY = {
-    "f": (False, False),
-    "fk": (True, False),
-    "phi": (False, False),
-    "phik": (True, False),
-    "psi": (False, True),
+# Per function: the one option it takes besides --n (None, "k" or "d"),
+# and the module and name of its count.  The count is looked up when it
+# runs, so a function patched into the module is the one called.
+_COMPUTE = {
+    "f": (None, counting, "count_relprime"),
+    "fk": ("k", counting, "count_relprime_k"),
+    "phi": (None, setphi, "subset_phi"),
+    "phik": ("k", setphi, "subset_phi_k"),
+    "psi": ("d", setphi, "subset_psi"),
 }
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    needs_k, needs_d = _COMPUTE_ARITY[args.function]
-    if needs_k and args.k is None:
-        raise UsageError(f"function {args.function} requires --k")
-    if not needs_k and args.k is not None:
-        raise UsageError(f"function {args.function} does not take --k")
-    if needs_d and args.d is None:
-        raise UsageError(f"function {args.function} requires --d")
-    if not needs_d and args.d is not None:
-        raise UsageError(f"function {args.function} does not take --d")
-    if needs_k and args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
-    if needs_d and args.d < 1:
-        raise UsageError(f"--d must be >= 1, got {args.d}")
+    option, module, name = _COMPUTE[args.function]
+    for flag in ("k", "d"):
+        given = getattr(args, flag) is not None
+        if given and flag != option:
+            raise UsageError(f"function {args.function} does not take --{flag}")
+        if not given and flag == option:
+            raise UsageError(f"function {args.function} requires --{flag}")
+    extra = {}
+    if option is not None:
+        extra[option] = getattr(args, option)
+        if extra[option] < 1:
+            raise UsageError(f"--{option} must be >= 1, got {extra[option]}")
     ns = _parse_n_list(args.n)
-    if needs_d:
+    if option == "d":
         for n in ns:
             if n % args.d:
                 raise UsageError(f"psi requires d | n; {args.d} does not divide {n}")
 
+    count = getattr(module, name)
     rows = []
     for n in ns:
         start = time.perf_counter()
-        if args.function == "f":
-            value = counting.count_relprime(n)
-        elif args.function == "fk":
-            value = counting.count_relprime_k(n, args.k)
-        elif args.function == "phi":
-            value = setphi.subset_phi(n)
-        elif args.function == "phik":
-            value = setphi.subset_phi_k(n, args.k)
-        else:
-            value = setphi.subset_psi(n, args.d)
+        value = count(n, *extra.values())
         elapsed = time.perf_counter() - start
         rows.append((n, _decimal(value), elapsed))
 
@@ -193,9 +188,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     elif args.format == "json":
         import json
 
-        given = {name: v for name, v in (("k", args.k), ("d", args.d)) if v is not None}
         for n, value, elapsed in rows:
-            record = {"n": n, **given, "value": value, "method": "formula",
+            record = {"n": n, **extra, "value": value, "method": "formula",
                       "elapsed_ms": elapsed * 1000.0}
             print(json.dumps(record))
     else:  # bfile
@@ -205,18 +199,20 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------- verify
+#
+# A suite is a generator that yields once per check: None when the check
+# passed, or the failure message when it did not.  It is not resumed
+# after a message.
 
 def _suite_sampled(n_max: int, k_max: int | None, first_n: int, stem: str, at_n, at_nk):
     """One check per n from first_n: at_n(n), then at_nk(n, k) per sampled k."""
-    checks = 0
     for n in range(first_n, n_max + 1):
         if not at_n(n):
-            return checks, f"{stem} at n={n}"
+            yield f"{stem} at n={n}"
         for k in _sampled_ks(n, k_max):
             if not at_nk(n, k):
-                return checks, f"{stem} at n={n}, k={k}"
-        checks += 1
-    return checks, None
+                yield f"{stem} at n={n}, k={k}"
+        yield None
 
 
 def _within(bounds: tuple[int, int], value: int) -> bool:
@@ -261,24 +257,22 @@ def _suite_asymptotics(n_max: int, k_max: int | None):
 def _suite_oracle(n_max: int, k_max: int | None):
     from . import oracle
 
-    checks = 0
     for n in range(1, n_max + 1):
         scan = oracle.gcd_histogram(n)  # one 2^n scan serves every check at n
         if counting.count_relprime(n) != scan.with_gcd(1):
-            return checks, f"count formula disagrees with enumeration at n={n}"
+            yield f"count formula disagrees with enumeration at n={n}"
         if setphi.subset_phi(n) != scan.with_gcd_n(1):
-            return checks, f"subset phi disagrees with enumeration at n={n}"
+            yield f"subset phi disagrees with enumeration at n={n}"
         top = n if k_max is None else min(n, k_max)
         for k in range(1, top + 1):
             if counting.count_relprime_k(n, k) != scan.with_gcd(1, k):
-                return checks, f"count formula disagrees at n={n}, k={k}"
+                yield f"count formula disagrees at n={n}, k={k}"
             if setphi.subset_phi_k(n, k) != scan.with_gcd_n(1, k):
-                return checks, f"subset phi disagrees at n={n}, k={k}"
+                yield f"subset phi disagrees at n={n}, k={k}"
         for d in divisors(n):
             if setphi.subset_psi(n, d) != scan.with_gcd_n(d):
-                return checks, f"subset psi disagrees at n={n}, d={d}"
-        checks += 1
-    return checks, None
+                yield f"subset psi disagrees at n={n}, d={d}"
+        yield None
 
 
 def _suite_affine(trials: int, _k_max):
@@ -288,14 +282,14 @@ def _suite_affine(trials: int, _k_max):
     from . import affine
 
     rng = random.Random(20070103)
-    checks = 0
+    dilations = [v for v in range(-6, 7) if v != 0]
     for _ in range(trials):
         size = rng.randint(1, 8)
         base = set()
         while len(base) < size:
             base.add(rng.randint(-30, 30))
         q = rng.randint(1, 6)
-        p = rng.choice([v for v in range(-6, 7) if v != 0])
+        p = rng.choice(dilations)
         anchor = rng.randint(-10, 10)
         w = rng.randint(-10, 10)
         # a is constant mod q by construction, so x = p/q acts integrally
@@ -306,63 +300,58 @@ def _suite_affine(trials: int, _k_max):
         b = affine.affine_map(a, x, y)
         form = affine.canonical_form(a)
         if form.representative != affine.canonical_form(b).representative:
-            return checks, f"representative not preserved for {sorted(a)}"
+            yield f"representative not preserved for {sorted(a)}"
         if affine.invariant_profile(a) != affine.invariant_profile(b):
-            return checks, f"invariant profile not preserved for {sorted(a)}"
+            yield f"invariant profile not preserved for {sorted(a)}"
         if affine.canonical_form(form.base).base != form.base:
-            return checks, f"canonicalization not idempotent for {sorted(a)}"
-        checks += 1
-    return checks, None
-
-
-_PHI_PRIMES = (2, 3, 5, 7, 11, 13)
-_PHI_SQUARE_PRIMES = (2, 3, 5)
-_PHI_PRIME_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7))
+            yield f"canonicalization not idempotent for {sorted(a)}"
+        yield None
 
 
 def _suite_closed_forms(_n_max, _k_max):
-    checks = 0
-    for p in _PHI_PRIMES:
-        if setphi.subset_phi(p) != (1 << p) - 2:
-            return checks, f"prime closed form failed at p={p}"
-        checks += 1
-    for p in _PHI_SQUARE_PRIMES:
-        if setphi.subset_phi(p * p) != (1 << (p * p)) - (1 << p):
-            return checks, f"prime-square closed form failed at p={p}"
-        checks += 1
-    for p, q in _PHI_PRIME_PAIRS:
-        expected = (1 << (p * q)) - (1 << q) - (1 << p) + 2
-        if setphi.subset_phi(p * q) != expected:
-            return checks, f"semiprime closed form failed at pq={p * q}"
-        checks += 1
-    return checks, None
+    # (failure message, n, the closed form of subset_phi(n))
+    forms = [(f"prime closed form failed at p={p}", p, (1 << p) - 2)
+             for p in (2, 3, 5, 7, 11, 13)]
+    forms += [(f"prime-square closed form failed at p={p}", p * p, (1 << p * p) - (1 << p))
+              for p in (2, 3, 5)]
+    forms += [(f"semiprime closed form failed at pq={p * q}", p * q,
+               (1 << p * q) - (1 << q) - (1 << p) + 2)
+              for p, q in ((2, 3), (2, 5), (3, 5), (2, 7))]
+    for message, n, expected in forms:
+        yield None if setphi.subset_phi(n) == expected else message
 
 
+def _verify_max_n() -> int:
+    return VERIFY_MAX_N
+
+
+# Per suite: the suite and a function giving its cap on --n-max.
 _SUITES = {
-    "recursions": (_suite_recursions, VERIFY_MAX_N),
-    "divisor-sums": (_suite_divisor_sums, VERIFY_MAX_N),
-    "bounds": (_suite_bounds, VERIFY_MAX_N),
-    "asymptotics": (_suite_asymptotics, VERIFY_MAX_N),
-    "oracle": (_suite_oracle, None),  # guard resolved at run time
-    "affine": (_suite_affine, VERIFY_MAX_N),
-    "closed-forms": (_suite_closed_forms, VERIFY_MAX_N),
+    "recursions": (_suite_recursions, _verify_max_n),
+    "divisor-sums": (_suite_divisor_sums, _verify_max_n),
+    "bounds": (_suite_bounds, _verify_max_n),
+    "asymptotics": (_suite_asymptotics, _verify_max_n),
+    "oracle": (_suite_oracle, _effective_oracle_max),
+    "affine": (_suite_affine, _verify_max_n),
+    "closed-forms": (_suite_closed_forms, _verify_max_n),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suite_fn, guard = _SUITES[args.suite]
-    n_max = args.n_max
-    if guard is None:
-        guard = _effective_oracle_max()
+    suite, cap = _SUITES[args.suite]
+    guard = cap()
+    n_max = min(_DEFAULT_N_MAX, guard) if args.n_max is None else args.n_max
     if not 1 <= n_max <= guard:
         raise UsageError(f"suite {args.suite} requires 1 <= n-max <= {guard}, got {n_max}")
     if args.k_max is not None and args.k_max < 1:
         # Below 1 every k-restricted check would be skipped in silence.
         raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
-    checks, failure = suite_fn(n_max, args.k_max)
-    if failure is not None:
-        print(f"{args.suite}: FAIL after {checks} passing checks: {failure}")
-        return 1
+    checks = 0
+    for failure in suite(n_max, args.k_max):
+        if failure is not None:
+            print(f"{args.suite}: FAIL after {checks} passing checks: {failure}")
+            return 1
+        checks += 1
     print(f"{args.suite}: {checks} checks passed")
     return 0
 
@@ -462,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="evaluate a counting function")
     p_compute.add_argument(
-        "function", choices=sorted(_COMPUTE_ARITY), help="counting function to evaluate"
+        "function", choices=sorted(_COMPUTE), help="counting function to evaluate"
     )
     p_compute.add_argument("--n", required=True, help="n value, range a..b, or comma list")
     p_compute.add_argument("--k", type=int, help="cardinality (fk/phik only)")
@@ -481,8 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-max",
         dest="n_max",
         type=int,
-        default=1000,
-        help="upper end of the check range (trial count for the affine suite)",
+        help="upper end of the check range (trial count for the affine suite); "
+        "default 1000, or the suite's cap if lower",
     )
     p_verify.add_argument(
         "--k-max", dest="k_max", type=int, default=None, help="cap on sampled k values"

@@ -95,6 +95,27 @@ class TestCompute:
         assert code == 0
         assert out.strip() == "2 11 983"
 
+    @pytest.mark.parametrize(
+        "argv,module,name,expected",
+        [
+            ("f --n 7", "counting", "count_relprime", "7000"),
+            ("fk --n 7 --k 2", "counting", "count_relprime_k", "7002"),
+            ("phi --n 7", "setphi", "subset_phi", "7000"),
+            ("phik --n 7 --k 2", "setphi", "subset_phi_k", "7002"),
+            ("psi --n 7 --d 7", "setphi", "subset_psi", "7007"),
+        ],
+    )
+    def test_runs_the_count_bound_in_its_module(
+        self, capsys, monkeypatch, argv, module, name, expected
+    ):
+        from relprime import counting, setphi
+
+        monkeypatch.setattr(
+            {"counting": counting, "setphi": setphi}[module], name,
+            lambda n, *option: 1000 * n + sum(option),
+        )
+        assert run(capsys, "compute", *argv.split()) == (0, f"{expected}\n", "")
+
     def test_rejects_bad_k_and_d(self, capsys):
         assert run(capsys, "compute", "fk", "--n", "5", "--k", "0")[0] == 2
         assert run(capsys, "compute", "phik", "--n", "5", "--k", "-1")[0] == 2
@@ -283,6 +304,27 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "oracle: 8 checks passed"
         assert scans == list(range(1, 9))
+
+    @pytest.mark.parametrize(
+        "suite,oracle_max,summary",
+        [
+            ("oracle", None, "oracle: 26 checks passed"),
+            ("oracle", "8", "oracle: 8 checks passed"),
+            ("recursions", "8", "recursions: 1000 checks passed"),
+            ("divisor-sums", None, "divisor-sums: 1000 checks passed"),
+            ("bounds", None, "bounds: 1000 checks passed"),
+            ("asymptotics", None, "asymptotics: 999 checks passed"),
+            ("affine", None, "affine: 1000 checks passed"),
+            ("closed-forms", None, "closed-forms: 13 checks passed"),
+        ],
+    )
+    def test_default_n_max(self, capsys, monkeypatch, suite, oracle_max, summary):
+        # Without --n-max a suite runs to 1000, or to its cap if that is lower.
+        if oracle_max is None:
+            monkeypatch.delenv("RELPRIME_ORACLE_MAX", raising=False)
+        else:
+            monkeypatch.setenv("RELPRIME_ORACLE_MAX", oracle_max)
+        assert run(capsys, "verify", suite) == (0, f"{summary}\n", "")
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "everything")[0] == 2
@@ -483,3 +525,43 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "26"
+
+    @pytest.mark.parametrize(
+        "argv,code,out",
+        [
+            (["compute", "f", "--n", "5"], 0, "26\n"),
+            (["compute", "f", "--n", "0"], 2, ""),
+        ],
+    )
+    def test_entry_point_exit_code(self, capsys, monkeypatch, argv, code, out):
+        from relprime import cli
+
+        monkeypatch.setattr(sys, "argv", ["relprime", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert (exc.value.code, capsys.readouterr().out) == (code, out)
+
+
+def _readme_cli_examples():
+    """(command, output lines) for each example in the README's CLI block.
+
+    bench is left out: it prints timings, which differ from run to run.
+    """
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    examples = [example.splitlines() for example in block.strip().split("\n\n")]
+    return [(command, output) for command, *output in examples if " bench " not in command]
+
+
+_README_EXAMPLES = _readme_cli_examples()
+
+
+@pytest.mark.parametrize(
+    "command,output", _README_EXAMPLES, ids=[command for command, _ in _README_EXAMPLES]
+)
+def test_readme_cli_examples(capsys, command, output):
+    prog, *argv = command.split()
+    assert prog == "relprime"
+    code, out, err = run(capsys, *argv)
+    expected = _mask_elapsed("".join(line + "\n" for line in output))
+    assert (code, _mask_elapsed(out), err) == (0, expected, "")
