@@ -19,6 +19,9 @@ from typing import Iterable, NamedTuple
 
 DIST_MAX_N = 20  # the 2^n subsets of {0,...,n} that contain 0 are walked
 LINEAR_FORM_MAX_TUPLES = 10_000_000
+# invariant_profile's bitsets beat pairwise sets below this span for every
+# size; at it, 2- and 3-element sets take about as long either way.
+_BITSET_SPAN = 2048
 
 IntSet = tuple[int, ...]
 
@@ -65,15 +68,19 @@ def affine_map(a: Iterable[int], x, y) -> IntSet:
     y = Fraction(y)
     if x == 0:
         raise ValueError("dilation factor x must be nonzero")
-    # x*e + y = (xn*yd*e + yn*xd) / (xd*yd), so each image is one divmod.
+    # x*e + y = (xn*yd*e + yn*xd) / (xd*yd): one divmod per image, none
+    # when xd*yd = 1.
     slope, shift = x.numerator * y.denominator, y.numerator * x.denominator
     scale = x.denominator * y.denominator
-    image = []
-    for e in elems:
-        v, r = divmod(slope * e + shift, scale)
-        if r:
-            raise ValueError(f"element {e} has non-integral image {x * e + y}")
-        image.append(v)
+    if scale == 1:
+        image = [slope * e + shift for e in elems]
+    else:
+        image = []
+        for e in elems:
+            v, r = divmod(slope * e + shift, scale)
+            if r:
+                raise ValueError(f"element {e} has non-integral image {x * e + y}")
+            image.append(v)
     if slope < 0:  # the map is monotone: decreasing for x < 0
         image.reverse()
     return tuple(image)
@@ -90,11 +97,11 @@ def canonical_form(a: Iterable[int]) -> CanonicalForm:
         zero = (0,)
         return CanonicalForm(zero, zero, zero)
     origin = elems[0]
-    shifted = tuple(e - origin for e in elems)
+    shifted = [e - origin for e in elems]
     g = gcd(*shifted)
-    base = tuple(e // g for e in shifted)
+    base = tuple(shifted) if g == 1 else tuple([e // g for e in shifted])
     top = base[-1]
-    mirror = tuple(top - e for e in reversed(base))
+    mirror = tuple([top - e for e in reversed(base)])
     return CanonicalForm(base, mirror, min(base, mirror))
 
 
@@ -139,12 +146,25 @@ def linear_form_image(a: Iterable[int], coeffs: Iterable[int], offset: int = 0) 
 def invariant_profile(a: Iterable[int]) -> InvariantProfile:
     """card(A+A) and card(A-A) for the set a.
 
-    Built from the sorted elements directly: A+A from the pairs i <= j,
-    and A-A as 0 plus each positive difference and its negative.  Plain
-    sets of values, not bitsets, so sparse sets with huge elements stay
+    With B the bitset of the offsets o from min(A), A+A is the union of
+    the B << o, and the differences >= 0 are the union of the B >> o;
+    A-A is those and their negatives, with 0 once.  A bitset costs
+    about the span per element, so from a span of _BITSET_SPAN on the
+    sums and positive differences are sets of values instead, built
+    from the pairs of elements, and sparse sets with huge elements stay
     cheap.
     """
     elems = integer_set(a)
+    origin = elems[0]
+    if elems[-1] - origin < _BITSET_SPAN:
+        offsets = [e - origin for e in elems]
+        b = sums = halves = 0
+        for o in offsets:
+            b |= 1 << o
+        for o in offsets:
+            sums |= b << o
+            halves |= b >> o
+        return InvariantProfile(sums.bit_count(), 2 * halves.bit_count() - 1)
     sums = {x + y for i, x in enumerate(elems) for y in elems[i:]}
     gaps = {y - x for i, x in enumerate(elems) for y in elems[i + 1 :]}
     return InvariantProfile(sumset_size=len(sums), difference_size=2 * len(gaps) + 1)

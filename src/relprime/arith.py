@@ -100,10 +100,7 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     if n < 1:
         raise ValueError("divisors requires n >= 1")
-    divs = [1]
-    for p, e in _factorization(n):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+    return list(_divisors(n))
 
 
 def binomial(n: int, k: int) -> int:
@@ -152,8 +149,8 @@ def euler_phi(n: int) -> int:
 def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs of n >= 1, primes ascending, by trial division.
 
-    Memoized briefly: the divisor-sum checks ask for the divisors of one
-    n once per sampled k.
+    Memoized briefly: _divisors and _divisor_weights each factor the
+    same n.
     """
     factors = []
     m = n
@@ -169,6 +166,20 @@ def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         factors.append((m, 1))
     return tuple(factors)
+
+
+@lru_cache(maxsize=16)
+def _divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n >= 1, ascending.
+
+    Memoized briefly, like _factorization: the divisor-sum checks read
+    the divisors of one n once per sampled k.
+    """
+    divs = [1]
+    for p, e in _factorization(n):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    divs.sort()
+    return tuple(divs)
 
 
 class _Mertens:
@@ -249,20 +260,28 @@ def _quotient_blocks(n: int) -> tuple[tuple[int, int], ...]:
 def _quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
     """(sum of mu(d) over the d with [n/d] = q, q) for q = [n/d], d = 1..n.
 
-    Each weight is M(hi) - M(lo - 1) over the block lo..hi of d; pairs of
-    weight 0 are dropped and q ascends.  Memoized briefly: one n is
-    usually asked for once per sampled k.
+    With s = isqrt(n), each q <= s has a block of d ending at [n/q], and
+    each d up to top = [n/(s+1)] is a block of its own, with q = [n/d] > s.
+    So the weights are the differences of M over the block ends
+    [n/1] > ... > [n/s] > top > top - 1 > ... > 0, read as one list:
+    computing M(n) first sizes the table past n^(2/3), so the ends are
+    table reads but for the few [n/q] past it, which are in the memo.
+    Pairs of weight 0 are dropped and q ascends.  Memoized briefly: one
+    n is usually asked for once per sampled k.
     """
-    pairs = []
-    hi = before = 0  # before = M(lo - 1)
-    for size, q in _quotient_blocks(n):
-        hi += size
-        upto = _mertens(hi)
-        if upto != before:
-            pairs.append((upto - before, q))
-        before = upto
-    pairs.reverse()
-    return tuple(pairs)
+    _mertens(n)  # sizes the table past n^(2/3), hence past top
+    prefix = _mertens.prefix  # replaced on a re-sieve, never mutated
+    s = math.isqrt(n)
+    top = n // (s + 1)
+    past = min(n // len(prefix), s)  # the q whose [n/q] is past the table
+    ends = [_mertens(n // q) for q in range(1, past + 1)]
+    ends += [prefix[n // q] for q in range(past + 1, s + 1)]
+    if top < len(prefix):
+        ends += prefix[top::-1]
+    else:  # another thread shrank the table since M(n)
+        ends += [_mertens(d) for d in range(top, -1, -1)]
+    qs = list(range(1, s + 1)) + [n // d for d in range(top, 0, -1)]
+    return tuple([(a - b, q) for a, b, q in zip(ends, ends[1:], qs) if a != b])
 
 
 @lru_cache(maxsize=8)
@@ -340,6 +359,7 @@ def _clear_kernel_memos() -> None:
     global _central
     _central = (0, 1)
     _factorization.cache_clear()
+    _divisors.cache_clear()
     _quotient_blocks.cache_clear()
     _quotient_weights.cache_clear()
     _divisor_weights.cache_clear()

@@ -22,6 +22,10 @@ from .arith import divisors
 
 ENV_ORACLE_MAX = "RELPRIME_ORACLE_MAX"
 VERIFY_MAX_N = 10_000
+# compute f and phi take about 2 s at this n on a 2-vCPU x86-64 machine,
+# mostly converting their n-bit values to decimal; beyond it the time
+# grows a little faster than n.
+COMPUTE_MAX_N = 10_000_000
 _DEFAULT_N_MAX = 1000  # verify --n-max when omitted, lowered to the suite's cap
 
 
@@ -30,12 +34,15 @@ class UsageError(Exception):
 
 
 def _parse_positive(text: str, what: str) -> int:
+    """An n between 1 and COMPUTE_MAX_N, checked before any range is built."""
     try:
         value = int(text)
     except ValueError:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
     if value < 1:
         raise UsageError(f"{what} must be >= 1, got {value}")
+    if value > COMPUTE_MAX_N:
+        raise UsageError(f"{what} must be <= {COMPUTE_MAX_N}, got {value}")
     return value
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import _divisor_weights, _sum_k_subsets, _sum_subsets, binomial, divisors
+from .arith import _divisor_weights, _divisors, _sum_k_subsets, _sum_subsets, binomial
 
 
 class PhiReport(NamedTuple):
@@ -84,7 +84,7 @@ def verify_divisor_sum(n: int) -> bool:
     """True iff sum_{d|n} subset_phi(d) = 2^n - 1 exactly."""
     if n < 1:
         raise ValueError("verify_divisor_sum requires n >= 1")
-    return sum(subset_phi(d) for d in divisors(n)) == (1 << n) - 1
+    return sum(subset_phi(d) for d in _divisors(n)) == (1 << n) - 1
 
 
 def verify_divisor_sum_k(n: int, k: int) -> bool:
@@ -95,7 +95,7 @@ def verify_divisor_sum_k(n: int, k: int) -> bool:
     """
     if n < 1 or k < 1:
         raise ValueError("verify_divisor_sum_k requires n >= 1 and k >= 1")
-    return sum(subset_phi_k(d, k) for d in divisors(n) if d >= k) == binomial(n, k)
+    return sum(subset_phi_k(d, k) for d in _divisors(n) if d >= k) == binomial(n, k)
 
 
 def asymptotic_report(n: int) -> PhiReport:

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from relprime.affine import (
+    _BITSET_SPAN,
     InvariantProfile,
     affine_map,
     affinely_equivalent,
@@ -284,6 +285,17 @@ class TestFastPathsMatchReferences:
         for _ in range(2000):
             a = random_set(rng, size_hi=rng.choice((3, 8, 20)), span=rng.choice((12, 30, 10**9)))
             assert invariant_profile(a) == reference_invariant_profile(a), a
+
+    def test_invariant_profile_either_side_of_the_bitset_bound(self):
+        rng = random.Random(53)
+        for span in (_BITSET_SPAN - 1, _BITSET_SPAN, _BITSET_SPAN + 1):
+            for size in (2, 3, 8, 40):
+                for origin in (0, -span - 7, -(10**12), 10**15):
+                    a = {origin, origin + span}
+                    a.update(origin + rng.randint(1, span - 1) for _ in range(size - 2))
+                    assert invariant_profile(a) == reference_invariant_profile(a), a
+        for e in (0, -3, 7, 10**15):
+            assert invariant_profile([e]) == InvariantProfile(1, 1)
 
     def test_invariant_profile_of_sparse_huge_sets(self):
         # A bitset of A+A would need 10^15 bits here.

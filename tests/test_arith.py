@@ -4,6 +4,8 @@ import random
 import pytest
 
 from relprime.arith import (
+    _clear_kernel_memos,
+    _divisors,
     binomial,
     divisors,
     euler_phi,
@@ -107,6 +109,19 @@ class TestDivisors:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             divisors(0)
+
+    def test_returns_a_fresh_list_each_call(self):
+        first = divisors(12)
+        first.append(5)
+        first[0] = 7
+        assert divisors(12) == [1, 2, 3, 4, 6, 12]
+        assert _divisors(12) == (1, 2, 3, 4, 6, 12)
+
+    def test_memo_is_cleared_with_the_kernel(self):
+        divisors(30)
+        assert _divisors.cache_info().currsize > 0
+        _clear_kernel_memos()
+        assert _divisors.cache_info().currsize == 0
 
 
 class TestBinomial:

@@ -188,6 +188,34 @@ class TestComputeBytes:
     def test_usage_errors(self, capsys, argv, message):
         assert run(capsys, "compute", *argv.split()) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("f --n 51", "n must be <= 50, got 51"),
+            ("phi --n 1..51", "range end must be <= 50, got 51"),
+            ("fk --n 60..70 --k 2", "range start must be <= 50, got 60"),
+            ("phik --n 3,40..50,51 --k 2", "n must be <= 50, got 51"),
+            ("psi --n 102 --d 2", "n must be <= 50, got 102"),
+        ],
+    )
+    def test_n_past_the_cap(self, capsys, monkeypatch, argv, message):
+        from relprime import cli
+
+        # A lowered cap, so that no failure here can build a large range.
+        monkeypatch.setattr(cli, "COMPUTE_MAX_N", 50)
+        assert run(capsys, "compute", *argv.split()) == (2, "", f"error: {message}\n")
+
+    def test_n_at_the_cap(self, capsys, monkeypatch):
+        from relprime import cli
+
+        monkeypatch.setattr(cli, "COMPUTE_MAX_N", 50)
+        assert run(capsys, "compute", "f", "--n", "49..50", "--format", "bfile") == (
+            0, f"49 {count_relprime(49)}\n50 {count_relprime(50)}\n", ""
+        )
+        assert run(capsys, "bench", "--n", "1..51") == (
+            2, "", "error: range end must be <= 50, got 51\n"
+        )
+
     def test_elapsed_times_the_count_only(self, capsys, monkeypatch):
         from types import SimpleNamespace
 
@@ -482,6 +510,7 @@ class TestBench:
         clears = []
         monkeypatch.setattr(arith._mertens, "clear", lambda: clears.append(1))
         arith._divisor_weights(12)
+        arith._divisors(12)
         monkeypatch.setattr(arith, "_central", (7, 35))
         code, _, _ = run(capsys, "bench", "--n", "12,13", "--reps", "3")
         assert code == 0
@@ -489,6 +518,7 @@ class TestBench:
         # The last repetition found no weights left over from the one before.
         assert arith._quotient_weights.cache_info().hits == 0
         assert arith._divisor_weights.cache_info().currsize == 0
+        assert arith._divisors.cache_info().currsize == 0
         assert arith._central == (0, 1)
 
     def test_each_oracle_repetition_scans(self, capsys, monkeypatch):

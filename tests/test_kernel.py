@@ -12,12 +12,14 @@ from itertools import accumulate
 
 import pytest
 
+from relprime import arith
 from relprime.arith import (
     _Mertens,
     _clear_kernel_memos,
     _comb,
     _divisor_weights,
     _mertens,
+    _quotient_blocks,
     _quotient_weights,
     binomial,
     mobius_sieve,
@@ -86,6 +88,111 @@ class TestWeights:
         expected = sorted((MU[d], n // d) for d in range(1, n + 1) if n % d == 0 and MU[d])
         assert sorted(_divisor_weights(n)) == expected
         assert [q for _, q in _divisor_weights(n)] == sorted(q for _, q in expected)
+
+
+def reference_quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
+    """The per-block build of _quotient_weights(n), kept as it stood.
+
+    Each weight is M(hi) - M(lo - 1) over the block lo..hi of d; pairs of
+    weight 0 are dropped and q ascends.
+    """
+    pairs = []
+    hi = before = 0  # before = M(lo - 1)
+    for size, q in _quotient_blocks(n):
+        hi += size
+        upto = _mertens(hi)
+        if upto != before:
+            pairs.append((upto - before, q))
+        before = upto
+    pairs.reverse()
+    return tuple(pairs)
+
+
+class TestQuotientWeightsAgainstPerBlockBuild:
+    """The weights read as one list of Mertens values, against one call per block."""
+
+    SPOT = (65_537, 10**5, 999_983, 10**6)
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        _clear_kernel_memos()
+        table = {n: reference_quotient_weights(n) for n in (*range(1, 3001), *self.SPOT)}
+        _clear_kernel_memos()
+        return table
+
+    def test_cold(self, expected):
+        for n in expected:
+            _clear_kernel_memos()
+            assert _quotient_weights(n) == expected[n], n
+        _clear_kernel_memos()
+
+    def test_after_a_dense_ascending_range(self, expected):
+        _clear_kernel_memos()
+        for n in range(1, 3001):
+            assert _quotient_weights(n) == expected[n], n
+        for n in self.SPOT:
+            for m in range(n - 200, n):
+                _quotient_weights(m)
+            assert _quotient_weights(n) == expected[n], n
+        _clear_kernel_memos()
+
+    def test_table_cleared_between_m_of_n_and_the_reads(self, expected, monkeypatch):
+        class ClearedAfterN(_Mertens):
+            """Clears itself once M(n) is known, as another thread may."""
+
+            def __init__(self, n: int) -> None:
+                super().__init__()
+                self.n = n
+
+            def __call__(self, x: int) -> int:
+                value = super().__call__(x)
+                if x == self.n:
+                    self.n = None
+                    self.clear()
+                return value
+
+        for n in (2, 3, 100, 3000, 10**5):
+            monkeypatch.setattr(arith, "_mertens", ClearedAfterN(n))
+            assert _quotient_weights.__wrapped__(n) == expected[n], n
+
+    def test_threads_building_while_the_table_is_resieved(self, expected):
+        _clear_kernel_memos()
+        done = threading.Event()
+        wrong: list[int] = []
+        finished: list[str] = []  # an exception in a thread skips its append
+
+        def build() -> None:
+            try:
+                for n in (*range(1, 3001), 10**5):
+                    if _quotient_weights.__wrapped__(n) != expected[n]:
+                        wrong.append(n)
+                finished.append("build")
+            finally:
+                done.set()
+
+        def resieve() -> None:
+            # Grows the table, or shrinks it as a clear does, and drops the memo.
+            limits = (16, 5000, 300, 20_000, 1)
+            i = 0
+            while not done.is_set():
+                _mertens._sieve(limits[i % len(limits)])
+                i += 1
+            finished.append("resieve")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build), threading.Thread(target=resieve)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            _clear_kernel_memos()
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(finished) == ["build", "resieve"]
+        assert wrong == []
 
 
 class TestMertens:
