@@ -145,13 +145,8 @@ def euler_phi(n: int) -> int:
 
 # ------------------------------------------------------ Mobius-sum kernel
 
-@lru_cache(maxsize=16)
 def _factorization(n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of n >= 1, primes ascending, by trial division.
-
-    Memoized briefly: _divisors and _divisor_weights each factor the
-    same n.
-    """
+    """(prime, exponent) pairs of n >= 1, primes ascending, by trial division."""
     factors = []
     m = n
     p = 2
@@ -172,8 +167,8 @@ def _factorization(n: int) -> tuple[tuple[int, int], ...]:
 def _divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n >= 1, ascending.
 
-    Memoized briefly, like _factorization: the divisor-sum checks read
-    the divisors of one n once per sampled k.
+    Memoized briefly: the divisor-sum checks read the divisors of one n
+    once per sampled k.
     """
     divs = [1]
     for p, e in _factorization(n):
@@ -236,24 +231,6 @@ class _Mertens:
 
 
 _mertens = _Mertens()
-
-
-@lru_cache(maxsize=8)
-def _quotient_blocks(n: int) -> tuple[tuple[int, int], ...]:
-    """(size, q) for each distinct q = [n/d], d = 1..n, q descending.
-
-    size counts the d with [n/d] = q; they follow on from the d of the
-    previous block.  There are O(sqrt n) blocks.  Memoized briefly: the
-    recursion checks read the blocks of one n once per sampled k.
-    """
-    blocks = []
-    d = 1
-    while d <= n:
-        q = n // d
-        hi = n // q
-        blocks.append((hi - d + 1, q))
-        d = hi + 1
-    return tuple(blocks)
 
 
 @lru_cache(maxsize=8)
@@ -358,9 +335,7 @@ def _clear_kernel_memos() -> None:
     """Forget every memo of the kernel, so the next sum is computed cold."""
     global _central
     _central = (0, 1)
-    _factorization.cache_clear()
     _divisors.cache_clear()
-    _quotient_blocks.cache_clear()
     _quotient_weights.cache_clear()
     _divisor_weights.cache_clear()
     _mertens.clear()

@@ -26,6 +26,10 @@ VERIFY_MAX_N = 10_000
 # mostly converting their n-bit values to decimal; beyond it the time
 # grows a little faster than n.
 COMPUTE_MAX_N = 10_000_000
+# A count at n has at most n bits, so the sum of the requested n bounds
+# the output.  Ten n next to COMPUTE_MAX_N take about ten times as long
+# as one, and 1..14141, the longest range from 1, about 1.4 times.
+COMPUTE_MAX_TOTAL_N = 100_000_000
 _DEFAULT_N_MAX = 1000  # verify --n-max when omitted, lowered to the suite's cap
 
 
@@ -46,7 +50,7 @@ def _parse_positive(text: str, what: str) -> int:
     return value
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     """A single n or an inclusive range 'a..b'."""
     if ".." in text:
         first, _, last = text.partition("..")
@@ -54,16 +58,22 @@ def _parse_range(text: str) -> list[int]:
         hi = _parse_positive(last, "range end")
         if lo > hi:
             raise UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [_parse_positive(text, "n")]
+        return range(lo, hi + 1)
+    n = _parse_positive(text, "n")
+    return range(n, n + 1)
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """Comma-separated n values, each a single value or an a..b range."""
-    out: list[int] = []
-    for part in text.split(","):
-        out.extend(_parse_range(part))
-    return out
+    """Comma-separated n values, each a single value or an a..b range.
+
+    Their sum is checked against COMPUTE_MAX_TOTAL_N before any list is
+    built.
+    """
+    ranges = [_parse_range(part) for part in text.split(",")]
+    total = sum((r.start + r.stop - 1) * len(r) // 2 for r in ranges)
+    if total > COMPUTE_MAX_TOTAL_N:
+        raise UsageError(f"the requested n must sum to <= {COMPUTE_MAX_TOTAL_N}, got {total}")
+    return [n for r in ranges for n in r]
 
 
 def _parse_set(text: str) -> list[int]:

@@ -14,22 +14,19 @@ the kernel in arith).  The self-referential recursions
     sum_{d=1..n} count_relprime([n/d])      = 2^n - 1
     sum_{d=1..n} count_relprime_k([n/d], k) = C(n, k)
 
-are kept as verification checks, not as the evaluation path; they too
-run over the quotient blocks.
+are kept as verification checks, not as the evaluation path.  They sum
+on the split the Mertens recursion in arith uses: with s = isqrt(n), the
+d <= [n/(s+1)] one at a time, then each q <= s weighted by the number
+[n/q] - [n/(q+1)] of d with [n/d] = q.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import (
-    _quotient_blocks,
-    _quotient_weights,
-    _sum_k_subsets,
-    _sum_subsets,
-    binomial,
-)
+from .arith import _quotient_weights, _sum_k_subsets, _sum_subsets, binomial
 
 
 class CountReport(NamedTuple):
@@ -96,28 +93,36 @@ def sandwich_bounds_k(n: int, k: int) -> tuple[int, int]:
 def verify_recursion(n: int) -> bool:
     """True iff sum_{d=1..n} count_relprime([n/d]) = 2^n - 1 exactly.
 
-    The d sharing a quotient q contribute (number of them) * f(q) at once.
+    Each distinct q = [n/d] is read once: those past isqrt(n) one d at a
+    time, the others times their number of d.
     """
     if n < 1:
         raise ValueError("verify_recursion requires n >= 1")
-    total = sum(size * count_relprime(q) for size, q in _quotient_blocks(n))
+    s = math.isqrt(n)
+    total = 0
+    for d in range(1, n // (s + 1) + 1):
+        total += count_relprime(n // d)
+    for q in range(1, s + 1):
+        total += (n // q - n // (q + 1)) * count_relprime(q)
     return total == (1 << n) - 1
 
 
 def verify_recursion_k(n: int, k: int) -> bool:
     """True iff sum_{d=1..n} count_relprime_k([n/d], k) = C(n, k) exactly.
 
-    Terms with q = [n/d] < k count k-subsets of a smaller set and are 0.
-    The blocks arrive with q descending, so the sum stops at the first
-    such block; the q = k term is 1 and stays in.
+    Terms with q = [n/d] < k count k-subsets of a smaller set and are 0,
+    so only d <= [n/k] and q >= k are read; the q = k term is 1 and
+    stays in.
     """
     if n < 1 or k < 1:
         raise ValueError("verify_recursion_k requires n >= 1 and k >= 1")
+    s = math.isqrt(n)
+    top = min(n // (s + 1), n // k)
     total = 0
-    for size, q in _quotient_blocks(n):
-        if q < k:
-            break
-        total += size * count_relprime_k(q, k)
+    for d in range(1, top + 1):
+        total += count_relprime_k(n // d, k)
+    for q in range(k, s + 1):
+        total += (n // q - n // (q + 1)) * count_relprime_k(q, k)
     return total == binomial(n, k)
 
 

@@ -216,6 +216,40 @@ class TestComputeBytes:
             2, "", "error: range end must be <= 50, got 51\n"
         )
 
+    @pytest.mark.parametrize(
+        "command,total",
+        [
+            ("compute f --n 1..14", 105),
+            ("compute phi --n 50,51", 101),
+            ("compute fk --n 1..10,1..10 --k 2", 110),
+            ("compute psi --n 1..50,1..50 --d 1", 2550),
+            ("bench --n 1..14", 105),  # before the enumeration guard
+        ],
+    )
+    def test_n_past_the_total(self, capsys, monkeypatch, command, total):
+        from relprime import cli
+
+        # Lowered caps, so that no failure here can build a large list.
+        monkeypatch.setattr(cli, "COMPUTE_MAX_N", 60)
+        monkeypatch.setattr(cli, "COMPUTE_MAX_TOTAL_N", 100)
+        assert run(capsys, *command.split()) == (
+            2, "", f"error: the requested n must sum to <= 100, got {total}\n"
+        )
+
+    def test_n_at_the_total(self, capsys, monkeypatch):
+        from relprime import cli
+
+        monkeypatch.setattr(cli, "COMPUTE_MAX_TOTAL_N", 100)
+        expected = " ".join(str(count_relprime(n)) for n in (*range(1, 14), 9))
+        assert run(capsys, "compute", "f", "--n", "1..13,9") == (0, expected + "\n", "")
+
+    def test_total_admits_the_documented_requests(self):
+        from relprime import cli
+
+        assert cli.COMPUTE_MAX_TOTAL_N >= 10_000 * 10_001 // 2  # 1..10000
+        assert cli.COMPUTE_MAX_TOTAL_N >= cli.COMPUTE_MAX_N
+        assert cli.COMPUTE_MAX_TOTAL_N < 14_142 * 14_143 // 2  # README: 1..14141 is the top
+
     def test_elapsed_times_the_count_only(self, capsys, monkeypatch):
         from types import SimpleNamespace
 
@@ -407,6 +441,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "recursions", "--n-max", "10")
         assert code == 1
         assert "FAIL" in out and "n=3" in out
+
+    def test_a_wrong_count_fails_the_recursions(self, capsys, monkeypatch):
+        from relprime import counting
+
+        def off_at_12(q, k):
+            return count_relprime_k(q, k) + (q == 12)
+
+        monkeypatch.setattr(counting, "count_relprime_k", off_at_12)
+        assert run(capsys, "verify", "recursions", "--n-max", "50") == (
+            1,
+            "recursions: FAIL after 11 passing checks: count recursion failed at n=12, k=1\n",
+            "",
+        )
 
     @pytest.mark.parametrize(
         "suite,module,name,broken,failure",

@@ -1,8 +1,11 @@
 import math
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from relprime import counting
 from relprime.counting import (
     CountReport,
     construction_lower_bound,
@@ -178,6 +181,79 @@ class TestRecursions:
             verify_recursion(0)
         with pytest.raises(ValueError):
             verify_recursion_k(5, 0)
+
+
+SPLIT_N_MAX = 1500
+
+
+def split_ks(n: int) -> list[int]:
+    """The k the split sums are checked at, k = n + 1 (no terms) included."""
+    return sorted({k for k in (1, 2, 3, 5, 8, n // 2, n, n + 1) if k >= 1})
+
+
+def plain_terms(n: int) -> Counter:
+    """q -> the number of d = 1..n with [n/d] = q, found by trying every d."""
+    return Counter(n // d for d in range(1, n + 1))
+
+
+class RecordingCount:
+    """A stand-in count that returns values[q] and records each q asked for."""
+
+    def __init__(self):
+        self.values: dict[int, int] = {}
+        self.asked: list[int] = []
+
+    def __call__(self, q, k=None):
+        self.asked.append(q)
+        return self.values[q]  # a q with no value is a KeyError
+
+
+class TestSplitSums:
+    """verify_recursion(_k) sum on the isqrt split; the plain sum runs over every d."""
+
+    def test_the_counts_agree_with_the_plain_sums(self):
+        for n in range(1, SPLIT_N_MAX + 1):
+            terms = plain_terms(n)
+            plain = sum(m * count_relprime(q) for q, m in terms.items())
+            assert verify_recursion(n) == (plain == (1 << n) - 1), n
+            for k in split_ks(n):
+                plain = sum(m * count_relprime_k(q, k) for q, m in terms.items() if q >= k)
+                assert verify_recursion_k(n, k) == (plain == math.comb(n, k)), (n, k)
+
+    def test_any_counts_agree_with_the_plain_sums(self, monkeypatch):
+        # Arbitrary values at q < n, and at q = n the value that makes the
+        # plain sum hit its target: the split sum must hit it as well, and
+        # must ask for each distinct quotient >= k exactly once.
+        rng = random.Random(SPLIT_N_MAX)
+        arbitrary = [rng.getrandbits(64) for _ in range(SPLIT_N_MAX + 2)]
+        count = RecordingCount()
+        monkeypatch.setattr(counting, "count_relprime", count)
+        monkeypatch.setattr(counting, "count_relprime_k", count)
+        for n in range(1, SPLIT_N_MAX + 1):
+            terms = plain_terms(n)
+            for k in (None, *split_ks(n)):
+                low, target = (1, (1 << n) - 1) if k is None else (k, math.comb(n, k))
+                count.values = {q: arbitrary[q] + low for q in terms if q >= low}
+                if n >= low:
+                    rest = sum(m * count.values[q] for q, m in terms.items() if low <= q < n)
+                    count.values[n] = target - rest
+                count.asked = []
+                holds = verify_recursion(n) if k is None else verify_recursion_k(n, k)
+                assert holds, (n, k)
+                assert sorted(count.asked) == sorted(count.values), (n, k)
+
+    def test_a_count_off_by_one_at_one_q_is_caught(self, monkeypatch):
+        def off_at_12(q, k):
+            return count_relprime_k(q, k) + (q == 12)
+
+        monkeypatch.setattr(counting, "count_relprime_k", off_at_12)
+        # 12 is [25/2], one d at a time, and [150/12], a weighted q <= isqrt(150).
+        for n in (12, 25, 150):
+            for k in range(1, 13):
+                assert not verify_recursion_k(n, k), (n, k)
+            # For k = 13 the quotient 12 is below k and is not read.
+            assert verify_recursion_k(n, 13), n
+        assert verify_recursion_k(11, 1)
 
 
 class TestConstructionLowerBound:

@@ -19,7 +19,6 @@ from relprime.arith import (
     _comb,
     _divisor_weights,
     _mertens,
-    _quotient_blocks,
     _quotient_weights,
     binomial,
     mobius_sieve,
@@ -90,6 +89,22 @@ class TestWeights:
         assert [q for _, q in _divisor_weights(n)] == sorted(q for _, q in expected)
 
 
+def quotient_blocks(n: int) -> list[tuple[int, int]]:
+    """(size, q) for each distinct q = [n/d], d = 1..n, q descending.
+
+    size counts the d with [n/d] = q; they follow on from the d of the
+    previous block.
+    """
+    blocks = []
+    d = 1
+    while d <= n:
+        q = n // d
+        hi = n // q
+        blocks.append((hi - d + 1, q))
+        d = hi + 1
+    return blocks
+
+
 def reference_quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
     """The per-block build of _quotient_weights(n), kept as it stood.
 
@@ -98,7 +113,7 @@ def reference_quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
     """
     pairs = []
     hi = before = 0  # before = M(lo - 1)
-    for size, q in _quotient_blocks(n):
+    for size, q in quotient_blocks(n):
         hi += size
         upto = _mertens(hi)
         if upto != before:
