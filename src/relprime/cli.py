@@ -5,7 +5,8 @@ failure (an identity or cross-check that should hold did not), 2 usage
 error (bad arguments or violated preconditions).  Malformed input never
 produces a traceback; arguments are checked here, at the boundary, and
 raise UsageError.  Any other exception is a fault in the program and
-surfaces as one.
+surfaces as one.  When the reader of stdout closes it early, the run
+ends quietly with 141, the status a shell shows for SIGPIPE.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import time
 from . import arith, counting, setphi
 from .arith import divisors
 
-ENV_ORACLE_MAX = "RELPRIME_ORACLE_MAX"
 VERIFY_MAX_N = 10_000
 # compute f and phi take about 2 s at this n on a 2-vCPU x86-64 machine,
 # mostly converting their n-bit values to decimal; beyond it the time
@@ -83,19 +83,25 @@ def _parse_set(text: str) -> list[int]:
         raise UsageError(f"malformed integer set {text!r}") from None
 
 
-def _decimal(value: int) -> str:
-    """Exact decimal digits of value, also past CPython's int-string limit.
+# str() is quadratic in the digits, _decimal_by_halves is not.  Without a
+# limit str() is the faster one up to about 45 000 bits (14 000: 0.34 vs
+# 0.48 ms); bounded by CPython's default limit, each value takes the path it
+# takes under that default, whatever limit the process has.
+_STR_MAX_DIGITS = 4300
 
-    Values that certainly fit under sys.get_int_max_str_digits() use
-    str().  Longer ones are split by powers of two and put back together
-    in decimal.Decimal, whose arithmetic and printing are subquadratic;
-    the process-wide limit is never lifted.
+
+def _decimal(value: int) -> str:
+    """Exact decimal digits of value; the int-string limit is never lifted.
+
+    Long values are split at powers of two and put back together in
+    decimal.Decimal, whose arithmetic and printing are subquadratic.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)  # absent: no limit
-    limit = get_limit() if get_limit else 0
-    # bits * log10(2) < limit  guarantees at most limit digits.
-    if not limit or value.bit_length() * 30103 < limit * 100_000:
-        return str(value)
+    # bits * log10(2) < _STR_MAX_DIGITS guarantees at most that many digits.
+    if value.bit_length() * 30103 < _STR_MAX_DIGITS * 100_000:
+        try:
+            return str(value)
+        except ValueError:  # the process limit is lower
+            pass
     return _decimal_by_halves(value)
 
 
@@ -135,22 +141,6 @@ def _decimal_by_halves(value: int) -> str:
 
 def _format_set(elems) -> str:
     return "{" + ",".join(str(e) for e in elems) + "}"
-
-
-def _effective_oracle_max() -> int:
-    """Hard ceiling ORACLE_MAX, lowered (never raised) by the environment."""
-    from . import oracle
-
-    raw = os.environ.get(ENV_ORACLE_MAX)
-    if raw is None:
-        return oracle.ORACLE_MAX
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_ORACLE_MAX} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"{ENV_ORACLE_MAX} must be >= 1, got {value}")
-    return min(value, oracle.ORACLE_MAX)
 
 
 def _sampled_ks(n: int, k_max: int | None) -> list[int]:
@@ -338,25 +328,24 @@ def _suite_closed_forms(_n_max, _k_max):
         yield None if setphi.subset_phi(n) == expected else message
 
 
-def _verify_max_n() -> int:
-    return VERIFY_MAX_N
-
-
-# Per suite: the suite and a function giving its cap on --n-max.
 _SUITES = {
-    "recursions": (_suite_recursions, _verify_max_n),
-    "divisor-sums": (_suite_divisor_sums, _verify_max_n),
-    "bounds": (_suite_bounds, _verify_max_n),
-    "asymptotics": (_suite_asymptotics, _verify_max_n),
-    "oracle": (_suite_oracle, _effective_oracle_max),
-    "affine": (_suite_affine, _verify_max_n),
-    "closed-forms": (_suite_closed_forms, _verify_max_n),
+    "recursions": _suite_recursions,
+    "divisor-sums": _suite_divisor_sums,
+    "bounds": _suite_bounds,
+    "asymptotics": _suite_asymptotics,
+    "oracle": _suite_oracle,
+    "affine": _suite_affine,
+    "closed-forms": _suite_closed_forms,
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suite, cap = _SUITES[args.suite]
-    guard = cap()
+    if args.suite == "oracle":
+        from . import oracle  # only this suite loads the oracle
+
+        guard = oracle.ORACLE_MAX
+    else:
+        guard = VERIFY_MAX_N
     n_max = min(_DEFAULT_N_MAX, guard) if args.n_max is None else args.n_max
     if not 1 <= n_max <= guard:
         raise UsageError(f"suite {args.suite} requires 1 <= n-max <= {guard}, got {n_max}")
@@ -364,7 +353,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # Below 1 every k-restricted check would be skipped in silence.
         raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
     checks = 0
-    for failure in suite(n_max, args.k_max):
+    for failure in _SUITES[args.suite](n_max, args.k_max):
         if failure is not None:
             print(f"{args.suite}: FAIL after {checks} passing checks: {failure}")
             return 1
@@ -423,10 +412,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     reps = args.reps
     if reps < 1:
         raise UsageError("--reps must be >= 1")
-    guard = _effective_oracle_max()
     for n in ns:
-        if n > guard:
-            raise UsageError(f"bench n={n} exceeds the enumeration guard of {guard}")
+        if n > oracle.ORACLE_MAX:
+            raise UsageError(f"bench n={n} exceeds the enumeration guard of {oracle.ORACLE_MAX}")
     for n in ns:
         formula_s = float("inf")
         for _ in range(reps):
@@ -548,7 +536,14 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # What is still buffered goes nowhere, so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

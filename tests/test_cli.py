@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from relprime import arith
+from relprime import arith, cli
 from relprime.cli import _decimal, _decimal_by_halves, main
 from relprime.counting import count_relprime, count_relprime_k
 from relprime.setphi import subset_phi
@@ -316,6 +316,33 @@ class TestDecimal:
         assert len(_decimal(10**4300)) == 4301
         assert _decimal(0) == "0"
 
+    def test_path_depends_on_size_not_on_the_limit(self, monkeypatch):
+        # (1 << b) - 1 has 640 digits at b = 2126 and 641 at 2127 (640 is
+        # the lowest limit CPython accepts), 4300 at 14284 and 4301 at 14285.
+        limit = sys.get_int_max_str_digits()
+        values = [(1 << b) - 1 for b in (2126, 2127, 14284, 14285, 45_000, 1_000_000)]
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = [str(v) for v in values]
+            split = []
+
+            def by_halves(value, inner=_decimal_by_halves):
+                split.append(value)
+                return inner(value)
+
+            monkeypatch.setattr(cli, "_decimal_by_halves", by_halves)
+            for lowered, absent in ((0, False), (0, True), (640, False), (limit, False)):
+                with monkeypatch.context() as m:
+                    if absent:  # CPython 3.10 before 3.10.7 has no limit
+                        m.delattr(sys, "get_int_max_str_digits")
+                    sys.set_int_max_str_digits(lowered)
+                    split.clear()
+                    assert [cli._decimal(v) for v in values] == expected
+                    assert split == [v for v, text in zip(values, expected)
+                                     if len(text) > 4300 or 0 < lowered < len(text)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -368,24 +395,19 @@ class TestVerify:
         assert scans == list(range(1, 9))
 
     @pytest.mark.parametrize(
-        "suite,oracle_max,summary",
+        "suite,summary",
         [
-            ("oracle", None, "oracle: 26 checks passed"),
-            ("oracle", "8", "oracle: 8 checks passed"),
-            ("recursions", "8", "recursions: 1000 checks passed"),
-            ("divisor-sums", None, "divisor-sums: 1000 checks passed"),
-            ("bounds", None, "bounds: 1000 checks passed"),
-            ("asymptotics", None, "asymptotics: 999 checks passed"),
-            ("affine", None, "affine: 1000 checks passed"),
-            ("closed-forms", None, "closed-forms: 13 checks passed"),
+            ("oracle", "oracle: 26 checks passed"),
+            ("recursions", "recursions: 1000 checks passed"),
+            ("divisor-sums", "divisor-sums: 1000 checks passed"),
+            ("bounds", "bounds: 1000 checks passed"),
+            ("asymptotics", "asymptotics: 999 checks passed"),
+            ("affine", "affine: 1000 checks passed"),
+            ("closed-forms", "closed-forms: 13 checks passed"),
         ],
     )
-    def test_default_n_max(self, capsys, monkeypatch, suite, oracle_max, summary):
+    def test_default_n_max(self, capsys, suite, summary):
         # Without --n-max a suite runs to 1000, or to its cap if that is lower.
-        if oracle_max is None:
-            monkeypatch.delenv("RELPRIME_ORACLE_MAX", raising=False)
-        else:
-            monkeypatch.setenv("RELPRIME_ORACLE_MAX", oracle_max)
         assert run(capsys, "verify", suite) == (0, f"{summary}\n", "")
 
     def test_unknown_suite(self, capsys):
@@ -410,18 +432,14 @@ class TestVerify:
         assert code == 2
         assert "n-max" in err
 
-    def test_env_lowers_oracle_guard(self, capsys, monkeypatch):
+    def test_oracle_caps_ignore_the_environment(self, capsys, monkeypatch):
+        # RELPRIME_ORACLE_MAX once lowered these caps; only arguments count now.
         monkeypatch.setenv("RELPRIME_ORACLE_MAX", "8")
-        assert run(capsys, "verify", "oracle", "--n-max", "10")[0] == 2
-        assert run(capsys, "verify", "oracle", "--n-max", "8")[0] == 0
-
-    def test_env_never_raises_guard(self, capsys, monkeypatch):
-        monkeypatch.setenv("RELPRIME_ORACLE_MAX", "999")
-        assert run(capsys, "verify", "oracle", "--n-max", "27")[0] == 2
-
-    def test_env_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("RELPRIME_ORACLE_MAX", "many")
-        assert run(capsys, "verify", "oracle", "--n-max", "5")[0] == 2
+        assert run(capsys, "verify", "oracle", "--n-max", "10") == (
+            0, "oracle: 10 checks passed\n", ""
+        )
+        code, out, err = run(capsys, "bench", "--n", "12")
+        assert (code, out.startswith("n=12 "), err) == (0, True, "")
 
     def test_internal_error_is_not_a_usage_error(self, capsys, monkeypatch):
         from relprime import counting
@@ -546,10 +564,6 @@ class TestBench:
     def test_guard(self, capsys):
         assert run(capsys, "bench", "--n", "30")[0] == 2
 
-    def test_env_guard(self, capsys, monkeypatch):
-        monkeypatch.setenv("RELPRIME_ORACLE_MAX", "10")
-        assert run(capsys, "bench", "--n", "12")[0] == 2
-
     def test_rejects_bad_reps(self, capsys):
         assert run(capsys, "bench", "--n", "8", "--reps", "0")[0] == 2
 
@@ -602,6 +616,33 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "26"
+
+    def test_output_ignores_the_int_string_limit(self):
+        outputs = set()
+        for digits in (None, "0", "640"):
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+            if digits is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = digits
+            proc = subprocess.run(
+                [sys.executable, "-m", "relprime", "compute", "phi", "--n", "300000"],
+                capture_output=True, env={**env, "PYTHONPATH": str(SRC)}, check=True,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert len(outputs.pop()) == 90_309 + 1  # digits and the newline
+
+    def test_closed_pipe_exits_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "relprime", "compute", "f", "--n", "1..6000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        head = proc.stdout.read(5)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+        assert b"1 2 5 11".startswith(head)
 
     @pytest.mark.parametrize(
         "argv,code,out",
