@@ -29,17 +29,14 @@ _EXPORTS = {
             "sumset_size_distribution",
         )),
         ("arith", (
-            "MobiusTable",
             "binomial",
             "divisors",
             "euler_phi",
             "gcd_set",
             "mobius_sieve",
             "pow2_minus_1",
-            "shared_mobius",
         )),
         ("counting", (
-            "CountReport",
             "construction_lower_bound",
             "count_relprime",
             "count_relprime_k",

@@ -24,39 +24,12 @@ from itertools import accumulate
 from typing import Iterable
 
 
-class MobiusTable:
-    """Mobius function values mu(1..limit), sieved once, read-only after.
+def mobius_sieve(limit: int) -> tuple[int, ...]:
+    """mu(0..limit) by a linear prime sieve, with mu(0) = 0.
 
     mu(n) = 1 if n = 1, 0 if a squared prime divides n, else (-1)^r where
-    r is the number of distinct prime factors.  Safe to share between
-    threads: the value tuple is never mutated after construction.
-    """
-
-    __slots__ = ("limit", "_values")
-
-    def __init__(self, limit: int, values: tuple[int, ...]):
-        self.limit = limit
-        self._values = values
-
-    def mu(self, d: int) -> int:
-        if not 1 <= d <= self.limit:
-            raise ValueError(f"mu({d}) outside sieved range 1..{self.limit}")
-        return self._values[d]
-
-    def __getitem__(self, d: int) -> int:
-        return self.mu(d)
-
-    def __len__(self) -> int:
-        return self.limit
-
-    def __repr__(self) -> str:
-        return f"MobiusTable(limit={self.limit})"
-
-
-def mobius_sieve(limit: int) -> MobiusTable:
-    """Sieve mu(1..limit) with a linear prime sieve.
-
-    Rejects limit = 0; cost is O(limit) time and memory.
+    r is the number of distinct prime factors.  Rejects limit = 0; cost
+    is O(limit) time and memory.
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
@@ -77,23 +50,7 @@ def mobius_sieve(limit: int) -> MobiusTable:
                 mu[ip] = 0  # p^2 divides ip
                 break
             mu[ip] = -mu[i]
-    return MobiusTable(limit, tuple(mu))
-
-
-# One table per process, grown geometrically so that evaluating an
-# ascending range of arguments does not re-sieve at every step.
-_shared: MobiusTable | None = None
-
-
-def shared_mobius(limit: int) -> MobiusTable:
-    """Return a process-wide table covering at least 1..limit."""
-    global _shared
-    tab = _shared
-    if tab is None or tab.limit < limit:
-        grown = limit if tab is None else max(limit, 2 * tab.limit)
-        tab = mobius_sieve(grown)
-        _shared = tab
-    return tab
+    return tuple(mu)
 
 
 def divisors(n: int) -> list[int]:
@@ -201,7 +158,7 @@ class _Mertens:
         self.spent = 0  # recursion steps since the table was sieved
 
     def _sieve(self, limit: int) -> None:
-        self.prefix = list(accumulate(mobius_sieve(limit)._values))
+        self.prefix = list(accumulate(mobius_sieve(limit)))
         # Dropped whole rather than filtered: filtering would iterate a
         # dict that another thread may be adding to.
         self.memo = {}

@@ -77,10 +77,23 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _parse_set(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise UsageError(f"malformed integer set {text!r}") from None
+    """The comma-separated integers of a --set value.
+
+    A bad element is reported on its own, never the whole argument.
+    """
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            digits = tok.strip()
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            if digits.isdecimal():  # int() refuses such a run only for its length
+                raise UsageError(f"set element has {len(digits)} digits, more than "
+                                 "the int-string limit allows") from None
+            shown = tok if len(tok) <= 20 else tok[:20] + "..."
+            raise UsageError(f"malformed integer set element {shown!r}") from None
+    return values
 
 
 # str() is quadratic in the digits, _decimal_by_halves is not.  Without a

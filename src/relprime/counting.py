@@ -24,20 +24,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 from .arith import _quotient_weights, _sum_k_subsets, _sum_subsets, binomial
-
-
-class CountReport(NamedTuple):
-    """One computed count with its provenance and timing."""
-
-    n: int
-    count: int
-    method: str  # "formula" or "oracle"
-    elapsed: float  # seconds
-    k: int | None = None
-    d: int | None = None
 
 
 @lru_cache(maxsize=None)

@@ -26,11 +26,6 @@ ORACLE_MAX = 26
 _LOW_BITS = 16  # the low table holds the gcds of 2^16 subsets
 
 
-def _check_n(n: int) -> None:
-    if not 1 <= n <= ORACLE_MAX:
-        raise ValueError(f"oracle enumeration requires 1 <= n <= {ORACLE_MAX}, got {n}")
-
-
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError("cardinality k must be >= 1")
@@ -73,7 +68,8 @@ def _gcds_by_size(elements, gcd_with: list[bytes]) -> list[bytes]:
 
 def gcd_histogram(n: int) -> GcdHistogram:
     """The (|A|, gcd(A)) histogram of all subsets of {1,...,n}, by one scan."""
-    _check_n(n)
+    if not 1 <= n <= ORACLE_MAX:  # the one check of n for every enumerate_*
+        raise ValueError(f"oracle enumeration requires 1 <= n <= {ORACLE_MAX}, got {n}")
     gcd_with = [bytes(gcd(g, e) for g in range(256)) for e in range(n + 1)]
     split = min(n, _LOW_BITS)
     low = _gcds_by_size(range(1, split + 1), gcd_with)
@@ -98,7 +94,6 @@ def enumerate_relprime(n: int) -> int:
 
 def enumerate_relprime_k(n: int, k: int) -> int:
     """Count k-element subsets of {1,...,n} with gcd 1, by enumeration."""
-    _check_n(n)
     _check_k(k)
     return gcd_histogram(n).with_gcd(1, k)
 
@@ -110,7 +105,6 @@ def enumerate_subset_phi(n: int) -> int:
 
 def enumerate_subset_phi_k(n: int, k: int) -> int:
     """Cardinality-k restriction of enumerate_subset_phi."""
-    _check_n(n)
     _check_k(k)
     return gcd_histogram(n).with_gcd_n(1, k)
 
@@ -120,7 +114,6 @@ def enumerate_subset_psi(n: int, d: int) -> int:
 
     Requires d | n: the shared gcd always divides n.
     """
-    _check_n(n)
     if d < 1 or n % d != 0:
         raise ValueError(f"enumerate_subset_psi requires d | n; got d={d}, n={n}")
     return gcd_histogram(n).with_gcd_n(d)
@@ -128,7 +121,6 @@ def enumerate_subset_psi(n: int, d: int) -> int:
 
 def enumerate_count_by_gcd(n: int, d: int) -> int:
     """Count nonempty subsets of {1,...,n} with gcd exactly d."""
-    _check_n(n)
     if not 1 <= d <= n:
         raise ValueError(f"enumerate_count_by_gcd requires 1 <= d <= n, got d={d}")
     return gcd_histogram(n).with_gcd(d)

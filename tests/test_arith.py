@@ -12,7 +12,6 @@ from relprime.arith import (
     gcd_set,
     mobius_sieve,
     pow2_minus_1,
-    shared_mobius,
 )
 
 
@@ -37,29 +36,29 @@ def mu_by_factorization(n: int) -> int:
 
 class TestMobius:
     def test_limit_one(self):
-        tab = mobius_sieve(1)
-        assert tab.mu(1) == 1
-        assert len(tab) == 1
+        # mu(0) = 0 starts the Mertens prefix sums at M(0) = 0.
+        assert mobius_sieve(1) == (0, 1)
 
     def test_small_values(self):
         tab = mobius_sieve(6)
-        assert tab.mu(2) == -1
-        assert tab.mu(4) == 0
-        assert tab.mu(6) == 1
+        assert tab[2] == -1
+        assert tab[4] == 0
+        assert tab[6] == 1
 
     def test_thirty(self):
-        assert mobius_sieve(30).mu(30) == -1
+        assert mobius_sieve(30)[30] == -1
 
     def test_matches_factorization(self):
         tab = mobius_sieve(300)
+        assert len(tab) == 301
         for n in range(1, 301):
-            assert tab.mu(n) == mu_by_factorization(n), n
+            assert tab[n] == mu_by_factorization(n), n
 
     def test_divisor_sum_vanishes(self):
         # sum_{d|n} mu(d) = 0 for every n >= 2
         tab = mobius_sieve(500)
         for n in range(2, 501):
-            assert sum(tab.mu(d) for d in divisors(n)) == 0, n
+            assert sum(tab[d] for d in divisors(n)) == 0, n
 
     def test_multiplicative_on_coprime_pairs(self):
         tab = mobius_sieve(90_000)
@@ -69,25 +68,11 @@ class TestMobius:
             b = rng.randint(1, 300)
             if math.gcd(a, b) != 1:
                 continue
-            assert tab.mu(a * b) == tab.mu(a) * tab.mu(b), (a, b)
+            assert tab[a * b] == tab[a] * tab[b], (a, b)
 
     def test_rejects_zero_limit(self):
         with pytest.raises(ValueError):
             mobius_sieve(0)
-
-    def test_rejects_out_of_range_lookup(self):
-        tab = mobius_sieve(10)
-        with pytest.raises(ValueError):
-            tab.mu(11)
-        with pytest.raises(ValueError):
-            tab.mu(0)
-
-    def test_shared_table_grows(self):
-        tab = shared_mobius(50)
-        assert tab.limit >= 50
-        bigger = shared_mobius(tab.limit + 1)
-        assert bigger.limit >= tab.limit + 1
-        assert bigger.mu(30) == -1
 
 
 class TestDivisors:

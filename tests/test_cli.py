@@ -548,6 +548,14 @@ class TestAffine:
     def test_malformed_set(self, capsys):
         assert run(capsys, "affine", "canon", "--set", "1,,2")[0] == 2
         assert run(capsys, "affine", "canon", "--set", "a,b")[0] == 2
+        # An element too long for int() is named by its length, not echoed.
+        code, _, err = run(capsys, "affine", "profile", "--set", "0,1,1" + "0" * 5000)
+        assert code == 2
+        assert err == "error: set element has 5001 digits, more than the int-string limit allows\n"
+        # Any other bad element is quoted alone, cut to a short prefix.
+        code, _, err = run(capsys, "affine", "profile", "--set", "0,x" + "0" * 5000)
+        assert code == 2
+        assert err.startswith("error: malformed integer set element 'x000") and len(err) < 80
 
     def test_arity(self, capsys):
         assert run(capsys, "affine", "equiv", "--set", "1,2")[0] == 2

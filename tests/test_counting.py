@@ -7,7 +7,6 @@ import pytest
 
 from relprime import counting
 from relprime.counting import (
-    CountReport,
     construction_lower_bound,
     count_relprime,
     count_relprime_k,
@@ -269,11 +268,3 @@ class TestConstructionLowerBound:
         for n in (1, 4):
             with pytest.raises(ValueError):
                 construction_lower_bound(n)
-
-
-def test_count_report_round_trip():
-    report = CountReport(n=10, count=983, method="formula", elapsed=0.0, k=None, d=None)
-    assert report.count == 983
-    assert report.method == "formula"
-    with pytest.raises(AttributeError):
-        report.count = 1  # frozen

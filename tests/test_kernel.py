@@ -27,7 +27,7 @@ from relprime.counting import count_relprime, count_relprime_k
 from relprime.setphi import subset_phi, subset_phi_k
 
 LIMIT = 524_287  # 2^19 - 1, prime
-MU = mobius_sieve(LIMIT)._values
+MU = mobius_sieve(LIMIT)
 LARGE = (65_537, 131_071, 510_510, LIMIT)  # primes, and 2*3*5*7*11*13*17
 
 

@@ -137,6 +137,12 @@ class TestGuards:
                 enumerate_relprime(bad)
             with pytest.raises(ValueError):
                 enumerate_subset_phi(bad)
+        # The other four wrappers, with valid k and d, rely on the same check.
+        for bad in (0, ORACLE_MAX + 1):
+            for call in (enumerate_relprime_k, enumerate_subset_phi_k,
+                         enumerate_subset_psi, enumerate_count_by_gcd):
+                with pytest.raises(ValueError):
+                    call(bad, 1)
 
     def test_psi_requires_divisor(self):
         with pytest.raises(ValueError):

@@ -16,9 +16,7 @@ SUBMODULES = ("affine", "arith", "cli", "counting", "oracle", "setphi")
 # The public surface, in the order __all__ has always listed it.
 PUBLIC = [
     "CanonicalForm",
-    "CountReport",
     "InvariantProfile",
-    "MobiusTable",
     "ORACLE_MAX",
     "PhiReport",
     "affine_map",
@@ -49,7 +47,6 @@ PUBLIC = [
     "residual_bound_k",
     "sandwich_bounds",
     "sandwich_bounds_k",
-    "shared_mobius",
     "subset_phi",
     "subset_phi_k",
     "subset_psi",

@@ -1,18 +1,12 @@
-"""The five record types: immutable named tuples with keyword construction."""
+"""The four record types: immutable named tuples with keyword construction."""
 
 import pytest
 
 from relprime.affine import CanonicalForm, InvariantProfile, canonical_form, invariant_profile
-from relprime.counting import CountReport
 from relprime.oracle import GcdHistogram, gcd_histogram
 from relprime.setphi import PhiReport, asymptotic_report
 
 RECORDS = [
-    (
-        CountReport,
-        dict(n=10, count=983, method="formula", elapsed=0.0, k=None, d=None),
-        "CountReport(n=10, count=983, method='formula', elapsed=0.0, k=None, d=None)",
-    ),
     (
         PhiReport,
         dict(n=6, k=None, value=54, main_term=56, residual=-2),
@@ -61,13 +55,7 @@ class TestRecord:
 
 
 def test_the_library_builds_the_pinned_records():
-    assert asymptotic_report(6) == PhiReport(**RECORDS[1][1])
-    assert gcd_histogram(2) == GcdHistogram(**RECORDS[2][1])
-    assert canonical_form([2, 8, 11, 20]) == CanonicalForm(**RECORDS[3][1])
-    assert invariant_profile([0, 2, 3, 6]) == InvariantProfile(**RECORDS[4][1])
-
-
-def test_count_report_k_and_d_default_to_none():
-    report = CountReport(n=5, count=26, method="oracle", elapsed=0.5)
-    assert report.k is None and report.d is None
-    assert CountReport(n=5, count=10, method="formula", elapsed=0.0, k=2).k == 2
+    assert asymptotic_report(6) == PhiReport(**RECORDS[0][1])
+    assert gcd_histogram(2) == GcdHistogram(**RECORDS[1][1])
+    assert canonical_form([2, 8, 11, 20]) == CanonicalForm(**RECORDS[2][1])
+    assert invariant_profile([0, 2, 3, 6]) == InvariantProfile(**RECORDS[3][1])
