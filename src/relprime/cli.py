@@ -37,29 +37,43 @@ class UsageError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
-def _parse_positive(text: str, what: str) -> int:
-    """An n between 1 and COMPUTE_MAX_N, checked before any range is built."""
+def _cut(text: str) -> str:
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
+def _integer(text: str, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """The int that text spells, within lo..hi (an end left None is open).
+
+    Every integer argument goes through here.  Bad text is never echoed
+    whole: a run of digits too long for int() is named by its length,
+    anything else is quoted cut to 20 characters.
+    """
     try:
         value = int(text)
     except ValueError:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise UsageError(f"{what} must be >= 1, got {value}")
-    if value > COMPUTE_MAX_N:
-        raise UsageError(f"{what} must be <= {COMPUTE_MAX_N}, got {value}")
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # int() refuses such a run only for its length
+            raise UsageError(f"{what} has {len(digits)} digits, more than "
+                             "the int-string limit allows") from None
+        raise UsageError(f"{what} must be an integer, got {_cut(text)!r}") from None
+    if lo is not None and value < lo:
+        raise UsageError(f"{what} must be >= {lo}, got {_cut(str(value))}")
+    if hi is not None and value > hi:
+        raise UsageError(f"{what} must be <= {hi}, got {_cut(str(value))}")
     return value
 
 
 def _parse_range(text: str) -> range:
-    """A single n or an inclusive range 'a..b'."""
+    """A single n or an inclusive range 'a..b', each end in 1..COMPUTE_MAX_N."""
     if ".." in text:
         first, _, last = text.partition("..")
-        lo = _parse_positive(first, "range start")
-        hi = _parse_positive(last, "range end")
+        lo = _integer(first, "range start", 1, COMPUTE_MAX_N)
+        hi = _integer(last, "range end", 1, COMPUTE_MAX_N)
         if lo > hi:
             raise UsageError(f"empty range {text!r}")
         return range(lo, hi + 1)
-    n = _parse_positive(text, "n")
+    n = _integer(text, "n", 1, COMPUTE_MAX_N)
     return range(n, n + 1)
 
 
@@ -74,26 +88,6 @@ def _parse_n_list(text: str) -> list[int]:
     if total > COMPUTE_MAX_TOTAL_N:
         raise UsageError(f"the requested n must sum to <= {COMPUTE_MAX_TOTAL_N}, got {total}")
     return [n for r in ranges for n in r]
-
-
-def _parse_set(text: str) -> list[int]:
-    """The comma-separated integers of a --set value.
-
-    A bad element is reported on its own, never the whole argument.
-    """
-    values = []
-    for tok in text.split(","):
-        try:
-            values.append(int(tok))
-        except ValueError:
-            digits = tok.strip()
-            digits = digits[1:] if digits[:1] in ("+", "-") else digits
-            if digits.isdecimal():  # int() refuses such a run only for its length
-                raise UsageError(f"set element has {len(digits)} digits, more than "
-                                 "the int-string limit allows") from None
-            shown = tok if len(tok) <= 20 else tok[:20] + "..."
-            raise UsageError(f"malformed integer set element {shown!r}") from None
-    return values
 
 
 # str() is quadratic in the digits, _decimal_by_halves is not.  Without a
@@ -186,35 +180,31 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             raise UsageError(f"function {args.function} requires --{flag}")
     extra = {}
     if option is not None:
-        extra[option] = getattr(args, option)
-        if extra[option] < 1:
-            raise UsageError(f"--{option} must be >= 1, got {extra[option]}")
+        extra[option] = _integer(getattr(args, option), f"--{option}", 1)
     ns = _parse_n_list(args.n)
     if option == "d":
         for n in ns:
-            if n % args.d:
-                raise UsageError(f"psi requires d | n; {args.d} does not divide {n}")
+            if n % extra["d"]:
+                raise UsageError(f"psi requires d | n; {extra['d']} does not divide {n}")
+    if args.format == "json":
+        import json
 
+    # Each value is written as soon as it is computed, so a reader that
+    # closes the pipe early stops the run, and no value is held.
     count = getattr(module, name)
-    rows = []
-    for n in ns:
+    for i, n in enumerate(ns, 1):
         start = time.perf_counter()
         value = count(n, *extra.values())
         elapsed = time.perf_counter() - start
-        rows.append((n, _decimal(value), elapsed))
-
-    if args.format == "plain":
-        print(" ".join(value for _, value, _ in rows))
-    elif args.format == "json":
-        import json
-
-        for n, value, elapsed in rows:
-            record = {"n": n, **extra, "value": value, "method": "formula",
+        text = _decimal(value)
+        if args.format == "plain":
+            print(text, end=" " if i < len(ns) else "\n")
+        elif args.format == "json":
+            record = {"n": n, **extra, "value": text, "method": "formula",
                       "elapsed_ms": elapsed * 1000.0}
             print(json.dumps(record))
-    else:  # bfile
-        for n, value, _ in rows:
-            print(f"{n} {value}")
+        else:  # bfile
+            print(f"{n} {text}")
     return 0
 
 
@@ -359,14 +349,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         guard = oracle.ORACLE_MAX
     else:
         guard = VERIFY_MAX_N
-    n_max = min(_DEFAULT_N_MAX, guard) if args.n_max is None else args.n_max
-    if not 1 <= n_max <= guard:
-        raise UsageError(f"suite {args.suite} requires 1 <= n-max <= {guard}, got {n_max}")
-    if args.k_max is not None and args.k_max < 1:
-        # Below 1 every k-restricted check would be skipped in silence.
-        raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
+    if args.n_max is None:
+        n_max = min(_DEFAULT_N_MAX, guard)
+    else:
+        n_max = _integer(args.n_max, "--n-max", 1, guard)
+    # Below 1 every k-restricted check would be skipped in silence.
+    k_max = None if args.k_max is None else _integer(args.k_max, "--k-max", 1)
     checks = 0
-    for failure in _SUITES[args.suite](n_max, args.k_max):
+    for failure in _SUITES[args.suite](n_max, k_max):
         if failure is not None:
             print(f"{args.suite}: FAIL after {checks} passing checks: {failure}")
             return 1
@@ -381,20 +371,21 @@ def _cmd_affine(args: argparse.Namespace) -> int:
     from . import affine
 
     action = args.action
-    sets = [_parse_set(text) for text in args.set or []]
+    sets = [[_integer(tok, "set element") for tok in text.split(",")]
+            for text in args.set or []]
     if action in ("canon", "profile") and len(sets) != 1:
         raise UsageError(f"affine {action} requires exactly one --set")
     if action == "equiv" and len(sets) != 2:
         raise UsageError("affine equiv requires exactly two --set arguments")
+    if action != "dist" and (args.n is not None or args.k is not None):
+        raise UsageError(f"affine {action} takes --set, not --n/--k")
     if action == "dist":
         if sets:
             raise UsageError("affine dist takes --n/--k flags, not --set")
         if args.n is None:
             raise UsageError("affine dist requires --n")
-        if not 0 <= args.n <= affine.DIST_MAX_N:
-            raise UsageError(f"affine dist requires 0 <= n <= {affine.DIST_MAX_N}, got {args.n}")
-        if args.k is not None and args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
+        n = _integer(args.n, "--n", 0, affine.DIST_MAX_N)
+        k = None if args.k is None else _integer(args.k, "--k", 1)
 
     if action == "canon":
         form = affine.canonical_form(sets[0])
@@ -409,9 +400,7 @@ def _cmd_affine(args: argparse.Namespace) -> int:
         profile = affine.invariant_profile(sets[0])
         print(f"s={profile.sumset_size} d={profile.difference_size}")
     else:
-        dist = affine.sumset_size_distribution(
-            args.n, k=args.k, inequivalent_only=args.inequivalent
-        )
+        dist = affine.sumset_size_distribution(n, k=k, inequivalent_only=args.inequivalent)
         print(" ".join(f"{size}:{count}" for size, count in dist.items()))
     return 0
 
@@ -422,9 +411,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from . import oracle
 
     ns = _parse_n_list(args.n)
-    reps = args.reps
-    if reps < 1:
-        raise UsageError("--reps must be >= 1")
+    reps = _integer(args.reps, "--reps", 1)
     for n in ns:
         if n > oracle.ORACLE_MAX:
             raise UsageError(f"bench n={n} exceeds the enumeration guard of {oracle.ORACLE_MAX}")
@@ -472,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
         "function", choices=sorted(_COMPUTE), help="counting function to evaluate"
     )
     p_compute.add_argument("--n", required=True, help="n value, range a..b, or comma list")
-    p_compute.add_argument("--k", type=int, help="cardinality (fk/phik only)")
-    p_compute.add_argument("--d", type=int, help="divisor of n (psi only)")
+    p_compute.add_argument("--k", help="cardinality (fk/phik only)")
+    p_compute.add_argument("--d", help="divisor of n (psi only)")
     p_compute.add_argument(
         "--format",
         choices=("plain", "json", "bfile"),
@@ -486,14 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=sorted(_SUITES))
     p_verify.add_argument(
         "--n-max",
-        dest="n_max",
-        type=int,
         help="upper end of the check range (trial count for the affine suite); "
         "default 1000, or the suite's cap if lower",
     )
-    p_verify.add_argument(
-        "--k-max", dest="k_max", type=int, default=None, help="cap on sampled k values"
-    )
+    p_verify.add_argument("--k-max", help="cap on sampled k values")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_affine = sub.add_parser("affine", help="canonical forms and invariants")
@@ -501,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_affine.add_argument(
         "--set", action="append", help="comma-separated integers; repeatable"
     )
-    p_affine.add_argument("--n", type=int, help="interval end for dist")
-    p_affine.add_argument("--k", type=int, help="cardinality restriction for dist")
+    p_affine.add_argument("--n", help="interval end for dist")
+    p_affine.add_argument("--k", help="cardinality restriction for dist")
     p_affine.add_argument(
         "--inequivalent",
         action="store_true",
@@ -512,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the formula against enumeration")
     p_bench.add_argument("--n", required=True, help="n value, range a..b, or comma list")
-    p_bench.add_argument("--reps", type=int, default=3, help="timing repetitions")
+    p_bench.add_argument("--reps", default="3", help="timing repetitions")
     p_bench.set_defaults(handler=_cmd_bench)
 
     return parser

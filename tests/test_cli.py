@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -555,7 +556,7 @@ class TestAffine:
         # Any other bad element is quoted alone, cut to a short prefix.
         code, _, err = run(capsys, "affine", "profile", "--set", "0,x" + "0" * 5000)
         assert code == 2
-        assert err.startswith("error: malformed integer set element 'x000") and len(err) < 80
+        assert err.startswith("error: set element must be an integer, got 'x000") and len(err) < 80
 
     def test_arity(self, capsys):
         assert run(capsys, "affine", "equiv", "--set", "1,2")[0] == 2
@@ -609,6 +610,75 @@ class TestBench:
         assert "MISMATCH" in err
 
 
+# Every integer argument: its command with {} for the value, the name its
+# messages use, and the values just past its bounds with the bound each breaks.
+_INTEGER_ARGUMENTS = [
+    ("compute f --n {}", "n", [("0", ">= 1"), ("10000001", "<= 10000000")]),
+    ("compute f --n {}..5", "range start", [("0", ">= 1"), ("10000001", "<= 10000000")]),
+    ("compute f --n 1..{}", "range end", [("0", ">= 1"), ("10000001", "<= 10000000")]),
+    ("compute fk --n 5 --k {}", "--k", [("0", ">= 1")]),
+    ("compute psi --n 6 --d {}", "--d", [("0", ">= 1")]),
+    ("verify recursions --n-max {}", "--n-max", [("0", ">= 1"), ("10001", "<= 10000")]),
+    ("verify oracle --n-max {}", "--n-max", [("0", ">= 1"), ("27", "<= 26")]),
+    ("verify recursions --n-max 5 --k-max {}", "--k-max", [("0", ">= 1")]),
+    ("affine dist --n {}", "--n", [("-1", ">= 0"), ("21", "<= 20")]),
+    ("affine dist --n 4 --k {}", "--k", [("0", ">= 1")]),
+    ("bench --n 8 --reps {}", "--reps", [("0", ">= 1")]),
+    ("affine profile --set 0,{}", "set element", []),
+]
+_LONG = "1" + "0" * 5000
+
+
+def _integer_cases():
+    for command, what, past in _INTEGER_ARGUMENTS:
+        yield pytest.param(
+            command.format(_LONG),
+            f"{what} has 5001 digits, more than the int-string limit allows",
+            id=command.format("<5001 digits>"),
+        )
+        yield pytest.param(
+            command.format("1.5" + "0" * 5000),
+            f"{what} must be an integer, got '1.500000000000000000...'",
+            id=command.format("<1.5 and 5000 zeros>"),
+        )
+        for value, bound in past:
+            yield pytest.param(command.format(value), f"{what} must be {bound}, got {value}",
+                               id=command.format(value))
+
+
+class TestIntegerArguments:
+    """One parser reads every integer; its errors are one short line."""
+
+    @pytest.mark.parametrize("command,message", list(_integer_cases()))
+    def test_bad_value_is_one_short_line(self, capsys, command, message):
+        code, out, err = run(capsys, *command.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) < 100
+
+    def test_long_value_past_the_bound_is_cut(self, capsys):
+        # 4000 digits pass int(); the value is still shown cut short.
+        code, _, err = run(capsys, "compute", "f", "--n", "9" * 4000)
+        assert (code, err) == (2, "error: n must be <= 10000000, got 99999999999999999999...\n")
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (["fk", "--n", "6", "--k", "+2"], count_relprime_k(6, 2)),
+            (["fk", "--n", "6", "--k", "0_2"], count_relprime_k(6, 2)),
+            (["f", "--n", " 6 "], count_relprime(6)),
+        ],
+    )
+    def test_int_spellings_are_kept(self, capsys, argv, value):
+        # What int() accepts, as argparse's type=int did.
+        assert run(capsys, "compute", *argv) == (0, f"{value}\n", "")
+
+    def test_dist_options_belong_to_dist(self, capsys):
+        for flag in ("--n", "--k"):
+            assert run(capsys, "affine", "canon", "--set", "1,2", flag, "3") == (
+                2, "", "error: affine canon takes --set, not --n/--k\n"
+            )
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -651,6 +721,31 @@ class TestTopLevel:
         proc.stderr.close()
         assert (proc.wait(timeout=120), err) == (141, b"")
         assert b"1 2 5 11".startswith(head)
+
+    def test_closed_pipe_stops_the_count(self, monkeypatch, tmp_path):
+        # Each value is written as it is computed, so the first failed write
+        # ends the run before the next n is counted.
+        from relprime import counting
+
+        class ClosedPipe(io.StringIO):
+            def __init__(self, fd):
+                super().__init__()
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return self.fd
+
+        counted = []
+        monkeypatch.setattr(counting, "count_relprime", lambda n: counted.append(n) or n)
+        monkeypatch.setattr(sys, "argv", ["relprime", "compute", "f", "--n", "1..50"])
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+            with pytest.raises(SystemExit) as exc:
+                cli.entry_point()
+        assert (exc.value.code, counted) == (141, [1])
 
     @pytest.mark.parametrize(
         "argv,code,out",
