@@ -48,6 +48,9 @@ class CanonicalForm(NamedTuple):
     representative: IntSet
 
 
+_POINT = CanonicalForm((0,), (0,), (0,))  # the record of every singleton
+
+
 class InvariantProfile(NamedTuple):
     """Cardinalities of A+A and A-A, both affine invariants."""
 
@@ -61,17 +64,21 @@ def affine_map(a: Iterable[int], x, y) -> IntSet:
     x and y may be ints or fractions; x = 0 is rejected (the map must be
     injective) and any element with a non-integral image is reported.
     """
-    from fractions import Fraction  # only maps pay for fractions and decimal
+    elems = tuple(sorted(set(a)))
+    if not elems:
+        raise ValueError("integer set must be nonempty")
+    try:  # an int or a Fraction gives its terms as they are
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    except AttributeError:  # anything else is read as Fraction reads it
+        from fractions import Fraction  # only such maps pay for fractions and decimal
 
-    elems = integer_set(a)
-    x = Fraction(x)
-    y = Fraction(y)
-    if x == 0:
+        x, y = Fraction(x), Fraction(y)
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    if xn == 0:
         raise ValueError("dilation factor x must be nonzero")
     # x*e + y = (xn*yd*e + yn*xd) / (xd*yd): one divmod per image, none
     # when xd*yd = 1.
-    slope, shift = x.numerator * y.denominator, y.numerator * x.denominator
-    scale = x.denominator * y.denominator
+    slope, shift, scale = xn * yd, yn * xd, xd * yd
     if scale == 1:
         image = [slope * e + shift for e in elems]
     else:
@@ -79,7 +86,11 @@ def affine_map(a: Iterable[int], x, y) -> IntSet:
         for e in elems:
             v, r = divmod(slope * e + shift, scale)
             if r:
-                raise ValueError(f"element {e} has non-integral image {x * e + y}")
+                from fractions import Fraction
+
+                raise ValueError(
+                    f"element {e} has non-integral image {Fraction(slope * e + shift, scale)}"
+                )
             image.append(v)
     if slope < 0:  # the map is monotone: decreasing for x < 0
         image.reverse()
@@ -92,14 +103,17 @@ def canonical_form(a: Iterable[int]) -> CanonicalForm:
     Size >= 2: translate the minimum to 0, divide by the gcd, and pair
     the result with its reflection.  Singletons normalize to {0}.
     """
-    elems = integer_set(a)
-    if len(elems) == 1:
-        zero = (0,)
-        return CanonicalForm(zero, zero, zero)
-    origin = elems[0]
-    shifted = [e - origin for e in elems]
-    g = gcd(*shifted)
-    base = tuple(shifted) if g == 1 else tuple([e // g for e in shifted])
+    base = tuple(sorted(set(a)))
+    if len(base) < 2:
+        if not base:
+            raise ValueError("integer set must be nonempty")
+        return _POINT
+    origin = base[0]
+    if origin:
+        base = tuple([e - origin for e in base])
+    g = gcd(*base)
+    if g != 1:
+        base = tuple([e // g for e in base])
     top = base[-1]
     mirror = tuple([top - e for e in reversed(base)])
     return CanonicalForm(base, mirror, min(base, mirror))
@@ -154,16 +168,17 @@ def invariant_profile(a: Iterable[int]) -> InvariantProfile:
     from the pairs of elements, and sparse sets with huge elements stay
     cheap.
     """
-    elems = integer_set(a)
+    elems = tuple(sorted(set(a)))
+    if not elems:
+        raise ValueError("integer set must be nonempty")
     origin = elems[0]
     if elems[-1] - origin < _BITSET_SPAN:
-        offsets = [e - origin for e in elems]
         b = sums = halves = 0
-        for o in offsets:
-            b |= 1 << o
-        for o in offsets:
-            sums |= b << o
-            halves |= b >> o
+        for e in elems:
+            b |= 1 << (e - origin)
+        for e in elems:
+            sums |= b << (e - origin)
+            halves |= b >> (e - origin)
         return InvariantProfile(sums.bit_count(), 2 * halves.bit_count() - 1)
     sums = {x + y for i, x in enumerate(elems) for y in elems[i:]}
     gaps = {y - x for i, x in enumerate(elems) for y in elems[i + 1 :]}

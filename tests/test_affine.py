@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 
 from relprime.affine import (
     _BITSET_SPAN,
+    CanonicalForm,
     InvariantProfile,
     affine_map,
     affinely_equivalent,
@@ -232,6 +234,20 @@ def reference_affine_map(a, x, y):
     return tuple(sorted(image))
 
 
+def reference_canonical_form(a):
+    """canonical_form as it stood before it normalized the set inline."""
+    elems = integer_set(a)
+    if len(elems) == 1:
+        zero = (0,)
+        return CanonicalForm(zero, zero, zero)
+    origin = elems[0]
+    shifted = [e - origin for e in elems]
+    g = math.gcd(*shifted)
+    base = tuple(e // g for e in shifted)
+    mirror = tuple(base[-1] - e for e in reversed(base))
+    return CanonicalForm(base, mirror, min(base, mirror))
+
+
 def reference_invariant_profile(a):
     """invariant_profile as it stood before it built A+A and A-A directly."""
     elems = integer_set(a)
@@ -253,6 +269,7 @@ class TestFastPathsMatchReferences:
     SCALARS = (
         0, 1, -1, 2, -3, 7, 0.5, -1.5, 0.25, 0.0, 2.0,
         Fraction(1, 2), Fraction(-7, 3), Fraction(5, 6), Fraction(-26, 3), Fraction(9, 1),
+        True, False, "3/2", "-2", Decimal("1.5"), Decimal("-0.25"), Decimal(4),
     )
 
     def test_affine_map(self):
@@ -279,6 +296,39 @@ class TestFastPathsMatchReferences:
         assert outcome(affine_map, [1, 4], Fraction(-7, 3), 0.5) == (
             "ValueError: element 1 has non-integral image -11/6"
         )
+
+    def test_canonical_form(self):
+        rng = random.Random(59)
+        for _ in range(3000):
+            size_hi, span = rng.choice(((2, 5), (8, 5), (8, 30), (20, 30), (20, 10**9)))
+            a = random_set(rng, size_hi=size_hi, span=span)
+            assert canonical_form(a) == reference_canonical_form(a), a
+
+    def test_canonical_form_origins_and_spans(self):
+        rng = random.Random(61)
+        for span in (1, 2, _BITSET_SPAN - 1, _BITSET_SPAN, _BITSET_SPAN + 1, 10**15):
+            for size in (2, 3, 8):
+                for origin in (0, 3, -span, -span - 7, -(10**12), 10**15):
+                    for step in (1, 2, 6):
+                        a = {origin, origin + step * span}
+                        a.update(origin + step * rng.randint(1, span - 1)
+                                 for _ in range(size - 2) if span > 1)
+                        assert canonical_form(a) == reference_canonical_form(a), a
+                        assert canonical_form(sorted(a, reverse=True)) == canonical_form(a)
+
+    def test_canonical_form_of_singletons(self):
+        for e in (0, -3, 7, 10**15, -(10**100)):
+            for a in ([e], (e, e), {e}):
+                assert canonical_form(a) == reference_canonical_form(a) == ((0,), (0,), (0,))
+
+    def test_empty_set_message(self):
+        message = "ValueError: integer set must be nonempty"
+        for fn in (canonical_form, reference_canonical_form,
+                   invariant_profile, reference_invariant_profile):
+            assert outcome(fn, []) == message
+        for fn in (affine_map, reference_affine_map):
+            assert outcome(fn, (), 2, 1) == message
+            assert outcome(fn, (), "x", 1) == message  # the set is read first
 
     def test_invariant_profile(self):
         rng = random.Random(47)

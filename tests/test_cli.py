@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from relprime import arith, cli
+from relprime import affine, arith, cli
 from relprime.cli import _decimal, _decimal_by_halves, main
 from relprime.counting import count_relprime, count_relprime_k
 from relprime.setphi import subset_phi
@@ -503,6 +504,82 @@ class TestVerify:
         assert (code, out, err) == (1, f"{suite}: FAIL after {failure}\n", "")
 
 
+def _randint_choice_trials(count):
+    """The affine suite's sets and maps, drawn with randint and choice as they once were."""
+    rng = random.Random(20070103)
+    dilations = [v for v in range(-6, 7) if v != 0]
+    for _ in range(count):
+        size = rng.randint(1, 8)
+        base = set()
+        while len(base) < size:
+            base.add(rng.randint(-30, 30))
+        q = rng.randint(1, 6)
+        p = rng.choice(dilations)
+        anchor = rng.randint(-10, 10)
+        w = rng.randint(-10, 10)
+        a = [q * r + anchor for r in base]
+        yield sorted(a), Fraction(p, q), Fraction(w * q - p * anchor, q)
+
+
+def _representative_wrong_at_size_4(a, canonical_form=affine.canonical_form):
+    form = canonical_form(a)
+    return form._replace(representative=form.base) if len(form.base) == 4 else form
+
+
+def _profile_off_by_one_from_size_5(a, invariant_profile=affine.invariant_profile):
+    # Off by one on sets of size >= 5 that span more than 64, which an
+    # affine map can change.
+    profile = invariant_profile(a)
+    wide = len(set(a)) >= 5 and max(a) - min(a) > 64
+    return profile._replace(sumset_size=profile.sumset_size + wide)
+
+
+def _not_idempotent_on_bases(a, canonical_form=affine.canonical_form):
+    form = canonical_form(a)
+    return form._replace(base=form.mirror) if tuple(a) == form.base else form
+
+
+class TestAffineSuite:
+    def test_trials_and_checks_are_kept(self, capsys, monkeypatch):
+        # The same sets and maps as randint and choice drew, and per trial one
+        # map, three canonical forms and two profiles, each through the module.
+        maps, calls = [], {"canonical_form": 0, "invariant_profile": 0}
+
+        def recorded(a, x, y, inner=affine.affine_map):
+            maps.append((sorted(a), x, y))
+            return inner(a, x, y)
+
+        monkeypatch.setattr(affine, "affine_map", recorded)
+        for name in calls:
+            def counted(a, name=name, inner=getattr(affine, name)):
+                calls[name] += 1
+                return inner(a)
+
+            monkeypatch.setattr(affine, name, counted)
+        assert run(capsys, "verify", "affine", "--n-max", "10000") == (
+            0, "affine: 10000 checks passed\n", ""
+        )
+        assert maps == list(_randint_choice_trials(10_000))
+        assert calls == {"canonical_form": 30_000, "invariant_profile": 20_000}
+
+    @pytest.mark.parametrize(
+        "name,mutant,failure",
+        [
+            ("canonical_form", _representative_wrong_at_size_4, "representative not preserved"),
+            ("invariant_profile", _profile_off_by_one_from_size_5,
+             "invariant profile not preserved"),
+            ("canonical_form", _not_idempotent_on_bases, "canonicalization not idempotent"),
+        ],
+    )
+    def test_each_check_catches_its_mutant(self, capsys, monkeypatch, name, mutant, failure):
+        monkeypatch.setattr(affine, name, mutant)
+        code, out, err = run(capsys, "verify", "affine", "--n-max", "500")
+        assert (code, err) == (1, "")
+        assert re.fullmatch(
+            rf"affine: FAIL after \d+ passing checks: {failure} for \[-?\d+(, -?\d+)*\]\n", out
+        ), out
+
+
 class TestAffine:
     def test_canon(self, capsys):
         code, out, _ = run(capsys, "affine", "canon", "--set", "2,8,11,20")
@@ -576,6 +653,10 @@ class TestBench:
     def test_rejects_bad_reps(self, capsys):
         assert run(capsys, "bench", "--n", "8", "--reps", "0")[0] == 2
 
+    def test_reps_at_the_cap(self, capsys):
+        code, out, err = run(capsys, "bench", "--n", "8", "--reps", str(cli.BENCH_MAX_REPS))
+        assert (code, out.startswith("n=8 formula_ms="), err) == (0, True, "")
+
     def test_each_repetition_starts_cold(self, capsys, monkeypatch):
         clears = []
         monkeypatch.setattr(arith._mertens, "clear", lambda: clears.append(1))
@@ -617,13 +698,13 @@ _INTEGER_ARGUMENTS = [
     ("compute f --n {}..5", "range start", [("0", ">= 1"), ("10000001", "<= 10000000")]),
     ("compute f --n 1..{}", "range end", [("0", ">= 1"), ("10000001", "<= 10000000")]),
     ("compute fk --n 5 --k {}", "--k", [("0", ">= 1")]),
-    ("compute psi --n 6 --d {}", "--d", [("0", ">= 1")]),
+    ("compute psi --n 6 --d {}", "--d", [("0", ">= 1"), ("10000001", "<= 10000000")]),
     ("verify recursions --n-max {}", "--n-max", [("0", ">= 1"), ("10001", "<= 10000")]),
     ("verify oracle --n-max {}", "--n-max", [("0", ">= 1"), ("27", "<= 26")]),
     ("verify recursions --n-max 5 --k-max {}", "--k-max", [("0", ">= 1")]),
     ("affine dist --n {}", "--n", [("-1", ">= 0"), ("21", "<= 20")]),
     ("affine dist --n 4 --k {}", "--k", [("0", ">= 1")]),
-    ("bench --n 8 --reps {}", "--reps", [("0", ">= 1")]),
+    ("bench --n 8 --reps {}", "--reps", [("0", ">= 1"), ("101", "<= 100")]),
     ("affine profile --set 0,{}", "set element", []),
 ]
 _LONG = "1" + "0" * 5000
@@ -659,6 +740,11 @@ class TestIntegerArguments:
         # 4000 digits pass int(); the value is still shown cut short.
         code, _, err = run(capsys, "compute", "f", "--n", "9" * 4000)
         assert (code, err) == (2, "error: n must be <= 10000000, got 99999999999999999999...\n")
+        code, _, err = run(capsys, "compute", "psi", "--n", "6", "--d", "9" * 4000)
+        assert (code, err) == (2, "error: --d must be <= 10000000, got 99999999999999999999...\n")
+
+    def test_d_at_the_cap(self, capsys):
+        assert run(capsys, "compute", "psi", "--n", "10000000", "--d", "10000000") == (0, "1\n", "")
 
     @pytest.mark.parametrize(
         "argv,value",
