@@ -32,12 +32,9 @@ _EXPORTS = {
             "binomial",
             "divisors",
             "euler_phi",
-            "gcd_set",
             "mobius_sieve",
-            "pow2_minus_1",
         )),
         ("counting", (
-            "construction_lower_bound",
             "count_relprime",
             "count_relprime_k",
             "sandwich_bounds",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable
 
 
 def mobius_sieve(limit: int) -> tuple[int, ...]:
@@ -65,29 +64,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be nonnegative")
     return _comb(n, k)
-
-
-def pow2_minus_1(e: int) -> int:
-    """2^e - 1 exactly (0 when e = 0)."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return (1 << e) - 1
-
-
-def gcd_set(elements: Iterable[int]) -> int:
-    """gcd of all elements, taken over absolute values.
-
-    gcd({0}) is 0.  Rejects the empty set.  Sets may contain negative
-    integers; the gcd ignores signs so that dilation by -1 is neutral.
-    """
-    g = None
-    for v in elements:
-        g = abs(v) if g is None else math.gcd(g, v)
-        if g == 1:
-            break
-    if g is None:
-        raise ValueError("gcd of the empty set is undefined")
-    return g
 
 
 def euler_phi(n: int) -> int:

@@ -32,7 +32,9 @@ COMPUTE_MAX_N = 10_000_000
 COMPUTE_MAX_TOTAL_N = 100_000_000
 _DEFAULT_N_MAX = 1000  # verify --n-max when omitted, lowered to the suite's cap
 # One repetition at the enumeration guard n = 26 scans 2^26 sets in about
-# 0.15 s on a 2-vCPU x86-64 machine, so this many take about 15 s.
+# 0.15 s on a 2-vCPU x86-64 machine, so this many take about 15 s.  No
+# request does more: --reps times the sum of 2^n over its n is at most
+# this many times 2^26.
 BENCH_MAX_REPS = 100
 
 
@@ -441,6 +443,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for n in ns:
         if n > oracle.ORACLE_MAX:
             raise UsageError(f"bench n={n} exceeds the enumeration guard of {oracle.ORACLE_MAX}")
+    if reps * sum(1 << n for n in ns) > BENCH_MAX_REPS << oracle.ORACLE_MAX:
+        raise UsageError("--reps times the sum of 2^n must be "
+                         f"<= {BENCH_MAX_REPS} * 2^{oracle.ORACLE_MAX}")
     for n in ns:
         formula_s = float("inf")
         for _ in range(reps):

@@ -113,15 +113,3 @@ def verify_recursion_k(n: int, k: int) -> bool:
         total += (n // q - n // (q + 1)) * count_relprime_k(q, k)
     return total == binomial(n, k)
 
-
-def construction_lower_bound(n: int) -> int:
-    """Constructive lower bound 2^(n-1) + 2^(n-2), valid for n >= 5.
-
-    Obtained by counting subsets forced to be relatively prime by small
-    elements: those containing 1, those containing 2 and 3 but not 1,
-    and the two families built from {2,5} and {3,5}; the last two need
-    5 in range, hence the n >= 5 precondition.
-    """
-    if n < 5:
-        raise ValueError("construction_lower_bound requires n >= 5")
-    return (1 << (n - 1)) + (1 << (n - 2))

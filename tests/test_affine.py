@@ -433,3 +433,5 @@ class TestSumsetSizeDistribution:
             sumset_size_distribution(21)
         with pytest.raises(ValueError):
             sumset_size_distribution(-1)
+        with pytest.raises(ValueError):
+            sumset_size_distribution(3, k=0)

@@ -9,9 +9,7 @@ from relprime.arith import (
     binomial,
     divisors,
     euler_phi,
-    gcd_set,
     mobius_sieve,
-    pow2_minus_1,
 )
 
 
@@ -128,48 +126,6 @@ class TestBinomial:
             binomial(-1, 2)
         with pytest.raises(ValueError):
             binomial(3, -2)
-
-
-class TestPow2Minus1:
-    @pytest.mark.parametrize("e,expected", [(0, 0), (1, 1), (10, 1023)])
-    def test_examples(self, e, expected):
-        assert pow2_minus_1(e) == expected
-
-    def test_large_exponent_is_exact(self):
-        assert pow2_minus_1(10_000) == 2**10_000 - 1
-
-
-class TestGcdSet:
-    def test_examples(self):
-        assert gcd_set([4, 6]) == 2
-        assert gcd_set([2, 8, 11, 20]) == 1
-        assert gcd_set([7]) == 7
-        assert gcd_set([0]) == 0
-
-    def test_negatives_use_absolute_values(self):
-        assert gcd_set([-4, 10]) == 2
-        assert gcd_set([-4, 10, 17, 38]) == 1
-
-    def test_permutation_and_duplication_invariant(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            elems = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))]
-            g = gcd_set(elems)
-            shuffled = elems[:]
-            rng.shuffle(shuffled)
-            assert gcd_set(shuffled) == g
-            assert gcd_set(elems + elems) == g
-
-    def test_scaling(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            elems = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
-            d = rng.randint(1, 9)
-            assert gcd_set([d * e for e in elems]) == d * gcd_set(elems)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gcd_set([])
 
 
 class TestEulerPhi:

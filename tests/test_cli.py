@@ -14,7 +14,7 @@ import pytest
 from relprime import affine, arith, cli
 from relprime.cli import _decimal, _decimal_by_halves, main
 from relprime.counting import count_relprime, count_relprime_k
-from relprime.setphi import subset_phi
+from relprime.setphi import subset_phi, subset_phi_k, subset_psi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -494,6 +494,17 @@ class TestVerify:
              "0 passing checks: residual envelope violated at n=2"),
             ("asymptotics", "setphi", "residual_bound_k", lambda n, k: -1 if n > 6 else 1 << n,
              "5 passing checks: residual envelope violated at n=7, k=1"),
+            ("oracle", "counting", "count_relprime", lambda n: count_relprime(n) + (n == 4),
+             "3 passing checks: count formula disagrees with enumeration at n=4"),
+            ("oracle", "setphi", "subset_phi", lambda n: subset_phi(n) + (n == 4),
+             "3 passing checks: subset phi disagrees with enumeration at n=4"),
+            ("oracle", "counting", "count_relprime_k",
+             lambda n, k: count_relprime_k(n, k) + (k == 3),
+             "2 passing checks: count formula disagrees at n=3, k=3"),
+            ("oracle", "setphi", "subset_phi_k", lambda n, k: subset_phi_k(n, k) + (k == 3),
+             "2 passing checks: subset phi disagrees at n=3, k=3"),
+            ("oracle", "setphi", "subset_psi", lambda n, d: subset_psi(n, d) + (d == 3),
+             "2 passing checks: subset psi disagrees at n=3, d=3"),
         ],
     )
     def test_failure_messages(self, capsys, monkeypatch, suite, module, name, broken, failure):
@@ -639,6 +650,7 @@ class TestAffine:
         assert run(capsys, "affine", "equiv", "--set", "1,2")[0] == 2
         assert run(capsys, "affine", "canon")[0] == 2
         assert run(capsys, "affine", "dist")[0] == 2
+        assert run(capsys, "affine", "dist", "--n", "3", "--set", "1,2")[0] == 2
 
 
 class TestBench:
@@ -656,6 +668,39 @@ class TestBench:
     def test_reps_at_the_cap(self, capsys):
         code, out, err = run(capsys, "bench", "--n", "8", "--reps", str(cli.BENCH_MAX_REPS))
         assert (code, out.startswith("n=8 formula_ms="), err) == (0, True, "")
+
+    @pytest.fixture
+    def small_bound(self, monkeypatch):
+        from relprime import oracle
+
+        # Lowered, so that the bound is 3 * 2^10 sets scanned.
+        monkeypatch.setattr(oracle, "ORACLE_MAX", 10)
+        monkeypatch.setattr(cli, "BENCH_MAX_REPS", 3)
+
+    @pytest.mark.parametrize(
+        "argv,lines", [("--n 10 --reps 3", 1), ("--n 9,9 --reps 3", 2), ("--n 1..9,1 --reps 3", 10)]
+    )
+    def test_work_at_the_bound(self, capsys, small_bound, argv, lines):
+        code, out, err = run(capsys, "bench", *argv.split())
+        assert (code, out.count(" speedup="), err) == (0, lines, "")
+
+    @pytest.mark.parametrize("argv", ["--n 10,1 --reps 3", "--n 1..10 --reps 3", "--n 10,10 --reps 2"])
+    def test_work_past_the_bound(self, capsys, small_bound, argv):
+        assert run(capsys, "bench", *argv.split()) == (
+            2, "", "error: --reps times the sum of 2^n must be <= 3 * 2^10\n"
+        )
+
+    def test_documented_requests_are_within_the_bound(self, capsys, monkeypatch):
+        from relprime import oracle
+
+        # The formula stands in for the 2^n scan, so only the bound is at stake.
+        monkeypatch.setattr(oracle, "enumerate_relprime", count_relprime)
+        assert run(capsys, "bench", "--n", "26", "--reps", "100")[0] == 0
+        assert run(capsys, "bench", "--n", "1..26", "--reps", "50")[0] == 0
+        assert run(capsys, "bench", "--n", "26,1", "--reps", "100") == (
+            2, "", "error: --reps times the sum of 2^n must be <= 100 * 2^26\n"
+        )
+        assert run(capsys, "bench", "--n", "1..26", "--reps", "51")[0] == 2
 
     def test_each_repetition_starts_cold(self, capsys, monkeypatch):
         clears = []

@@ -7,7 +7,6 @@ import pytest
 
 from relprime import counting
 from relprime.counting import (
-    construction_lower_bound,
     count_relprime,
     count_relprime_k,
     sandwich_bounds,
@@ -120,6 +119,16 @@ class TestSandwichBounds:
             floor_term = 1 << ((n + 1) // 2)
             tail_term = n << ((n + 2) // 3 + 1)
             assert count_relprime(n) >= (1 << n) - floor_term - tail_term, n
+
+    def test_lower_end_covers_the_construction(self):
+        # The sets that contain 1, and those without 1 that contain {2,3},
+        # {2,5} but not 3, or {3,5} but not 2, are relatively prime:
+        # 2^(n-1) + 2^(n-2) sets for n >= 5.  From n = 8 the lower end is
+        # at least that many; below it the oracle suite checks the count.
+        for n in range(5, 8):
+            assert count_relprime(n) >= 3 << (n - 2), n
+        for n in range(8, 3001):
+            assert sandwich_bounds(n)[0] >= 3 << (n - 2), n
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -254,17 +263,3 @@ class TestSplitSums:
             assert verify_recursion_k(n, 13), n
         assert verify_recursion_k(11, 1)
 
-
-class TestConstructionLowerBound:
-    @pytest.mark.parametrize("n,expected", [(5, 24), (6, 48), (10, 768)])
-    def test_examples(self, n, expected):
-        assert construction_lower_bound(n) == expected
-
-    def test_count_dominates_construction(self):
-        for n in range(5, 201):
-            assert count_relprime(n) >= construction_lower_bound(n), n
-
-    def test_rejects_small_n(self):
-        for n in (1, 4):
-            with pytest.raises(ValueError):
-                construction_lower_bound(n)

@@ -25,7 +25,6 @@ PUBLIC = [
     "asymptotic_report_k",
     "binomial",
     "canonical_form",
-    "construction_lower_bound",
     "count_relprime",
     "count_relprime_k",
     "difference_set",
@@ -37,12 +36,10 @@ PUBLIC = [
     "enumerate_subset_phi_k",
     "enumerate_subset_psi",
     "euler_phi",
-    "gcd_set",
     "integer_set",
     "invariant_profile",
     "linear_form_image",
     "mobius_sieve",
-    "pow2_minus_1",
     "residual_bound",
     "residual_bound_k",
     "sandwich_bounds",

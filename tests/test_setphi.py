@@ -215,3 +215,7 @@ class TestAsymptotics:
             asymptotic_report(0)
         with pytest.raises(ValueError):
             asymptotic_report_k(3, 0)
+        with pytest.raises(ValueError):
+            residual_bound(0)
+        with pytest.raises(ValueError):
+            residual_bound_k(0, 1)
