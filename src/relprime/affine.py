@@ -22,6 +22,9 @@ LINEAR_FORM_MAX_TUPLES = 10_000_000
 # invariant_profile's bitsets beat pairwise sets below this span for every
 # size; at it, 2- and 3-element sets take about as long either way.
 _BITSET_SPAN = 2048
+# invariant_profile's pairwise sets grow as the square of the size; a set of
+# span below _BITSET_SPAN, which the bitsets take, never has more elements.
+PROFILE_MAX_ELEMENTS = 2048
 
 IntSet = tuple[int, ...]
 
@@ -64,9 +67,7 @@ def affine_map(a: Iterable[int], x, y) -> IntSet:
     x and y may be ints or fractions; x = 0 is rejected (the map must be
     injective) and any element with a non-integral image is reported.
     """
-    elems = tuple(sorted(set(a)))
-    if not elems:
-        raise ValueError("integer set must be nonempty")
+    elems = integer_set(a)
     try:  # an int or a Fraction gives its terms as they are
         xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
     except AttributeError:  # anything else is read as Fraction reads it
@@ -103,10 +104,8 @@ def canonical_form(a: Iterable[int]) -> CanonicalForm:
     Size >= 2: translate the minimum to 0, divide by the gcd, and pair
     the result with its reflection.  Singletons normalize to {0}.
     """
-    base = tuple(sorted(set(a)))
-    if len(base) < 2:
-        if not base:
-            raise ValueError("integer set must be nonempty")
+    base = integer_set(a)
+    if len(base) == 1:
         return _POINT
     origin = base[0]
     if origin:
@@ -166,11 +165,9 @@ def invariant_profile(a: Iterable[int]) -> InvariantProfile:
     about the span per element, so from a span of _BITSET_SPAN on the
     sums and positive differences are sets of values instead, built
     from the pairs of elements, and sparse sets with huge elements stay
-    cheap.
+    cheap.  Such a set may have at most PROFILE_MAX_ELEMENTS elements.
     """
-    elems = tuple(sorted(set(a)))
-    if not elems:
-        raise ValueError("integer set must be nonempty")
+    elems = integer_set(a)
     origin = elems[0]
     if elems[-1] - origin < _BITSET_SPAN:
         b = sums = halves = 0
@@ -180,6 +177,8 @@ def invariant_profile(a: Iterable[int]) -> InvariantProfile:
             sums |= b << (e - origin)
             halves |= b >> (e - origin)
         return InvariantProfile(sums.bit_count(), 2 * halves.bit_count() - 1)
+    if len(elems) > PROFILE_MAX_ELEMENTS:
+        raise ValueError(f"profile takes at most {PROFILE_MAX_ELEMENTS} elements")
     sums = {x + y for i, x in enumerate(elems) for y in elems[i:]}
     gaps = {y - x for i, x in enumerate(elems) for y in elems[i + 1 :]}
     return InvariantProfile(sumset_size=len(sums), difference_size=2 * len(gaps) + 1)

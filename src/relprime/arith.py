@@ -135,9 +135,6 @@ class _Mertens:
 
     def _sieve(self, limit: int) -> None:
         self.prefix = list(accumulate(mobius_sieve(limit)))
-        # Dropped whole rather than filtered: filtering would iterate a
-        # dict that another thread may be adding to.
-        self.memo = {}
         self.spent = 0
 
     def __call__(self, x: int) -> int:

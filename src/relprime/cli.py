@@ -425,7 +425,10 @@ def _cmd_affine(args: argparse.Namespace) -> int:
         verdict = affine.affinely_equivalent(sets[0], sets[1])
         print("true" if verdict else "false")
     elif action == "profile":
-        profile = affine.invariant_profile(sets[0])
+        try:
+            profile = affine.invariant_profile(sets[0])
+        except ValueError as exc:  # a set past affine.PROFILE_MAX_ELEMENTS
+            raise UsageError(f"affine {exc}") from None
         print(f"s={profile.sumset_size} d={profile.difference_size}")
     else:
         dist = affine.sumset_size_distribution(n, k=k, inequivalent_only=args.inequivalent)

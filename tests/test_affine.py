@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from relprime import affine
 from relprime.affine import (
     _BITSET_SPAN,
     CanonicalForm,
@@ -235,7 +236,7 @@ def reference_affine_map(a, x, y):
 
 
 def reference_canonical_form(a):
-    """canonical_form as it stood before it normalized the set inline."""
+    """canonical_form without its skips of a zero origin and a unit gcd."""
     elems = integer_set(a)
     if len(elems) == 1:
         zero = (0,)
@@ -323,12 +324,17 @@ class TestFastPathsMatchReferences:
 
     def test_empty_set_message(self):
         message = "ValueError: integer set must be nonempty"
-        for fn in (canonical_form, reference_canonical_form,
+        for fn in (integer_set, canonical_form, reference_canonical_form,
                    invariant_profile, reference_invariant_profile):
             assert outcome(fn, []) == message
         for fn in (affine_map, reference_affine_map):
             assert outcome(fn, (), 2, 1) == message
             assert outcome(fn, (), "x", 1) == message  # the set is read first
+        for fn in (sumset, difference_set):
+            assert outcome(fn, [], [1]) == message
+            assert outcome(fn, [1], ()) == message
+        assert outcome(linear_form_image, [], (1, 1)) == message
+        assert outcome(linear_form_image, iter(()), ()) == message  # the set is read first
 
     def test_invariant_profile(self):
         rng = random.Random(47)
@@ -347,16 +353,27 @@ class TestFastPathsMatchReferences:
         for e in (0, -3, 7, 10**15):
             assert invariant_profile([e]) == InvariantProfile(1, 1)
 
-    def test_invariant_profile_of_sparse_huge_sets(self):
-        # A bitset of A+A would need 10^15 bits here.
+    def test_invariant_profile_of_sparse_huge_sets(self, monkeypatch):
+        # A bitset of A+A would need 10^15 bits here.  With the cap lowered
+        # to 4 elements, a set past it is refused from the span of
+        # _BITSET_SPAN on, and only there.
+        monkeypatch.setattr(affine, "PROFILE_MAX_ELEMENTS", 4)
+        past = "ValueError: profile takes at most 4 elements"
         cases = [
             ([0, 10**12, -(10**15)], (6, 7)),
-            ([-(10**15), 0, 10**12, 2 * 10**12], (9, 11)),
+            ([-(10**15), 0, 10**12, 2 * 10**12], (9, 11)),  # at the cap
+            ([0, 10**12, 0, 2 * 10**12, 3 * 10**12], (7, 7)),  # at it, once deduplicated
             ([0, 10**100], (3, 3)),
+            ([0, 1, 2, 3, _BITSET_SPAN - 1], (12, 15)),  # past it, on bitsets
+            ([-(10**15), 0, 10**12, 2 * 10**12, 3 * 10**12], past),
+            ([0, 1, 2, 3, _BITSET_SPAN], past),
         ]
-        for a, (s, d) in cases:
-            assert invariant_profile(a) == InvariantProfile(s, d)
-            assert invariant_profile(a) == reference_invariant_profile(a)
+        for a, expected in cases:
+            if expected == past:
+                assert outcome(invariant_profile, a) == past, a
+            else:
+                assert invariant_profile(a) == InvariantProfile(*expected), a
+                assert invariant_profile(a) == reference_invariant_profile(a), a
 
 
 def reference_distribution(n, k=None, inequivalent_only=False):

@@ -629,6 +629,19 @@ class TestAffine:
         assert code == 0
         assert out.strip() == "3:10"
 
+    @pytest.mark.parametrize(
+        "elements,expected",
+        [
+            ("0,1,2,2048", (0, "s=9 d=11\n", "")),  # at the cap
+            ("2048,0,1,2,2048", (0, "s=9 d=11\n", "")),  # at it, once deduplicated
+            ("0,1,2,3,2047", (0, "s=12 d=15\n", "")),  # past it, on bitsets
+            ("0,1,2,3,2048", (2, "", "error: affine profile takes at most 4 elements\n")),
+        ],
+    )
+    def test_profile_cap(self, capsys, monkeypatch, elements, expected):
+        monkeypatch.setattr(affine, "PROFILE_MAX_ELEMENTS", 4)  # lowered, so sets stay small
+        assert run(capsys, "affine", "profile", "--set", elements) == expected
+
     def test_dist_guard(self, capsys):
         assert run(capsys, "affine", "dist", "--n", "21")[0] == 2
         assert run(capsys, "affine", "dist", "--n", "-1")[0] == 2

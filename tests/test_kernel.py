@@ -186,7 +186,7 @@ class TestQuotientWeightsAgainstPerBlockBuild:
                 done.set()
 
         def resieve() -> None:
-            # Grows the table, or shrinks it as a clear does, and drops the memo.
+            # Grows the table, or shrinks it as a clear does.
             limits = (16, 5000, 300, 20_000, 1)
             i = 0
             while not done.is_set():
