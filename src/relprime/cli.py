@@ -16,10 +16,7 @@ import os
 import sys
 import time
 
-# oracle, affine and the heavier standard modules are imported by the
-# commands that use them, so that start-up pays only for what runs.
-from . import arith, counting, setphi
-from .arith import divisors
+import relprime
 
 VERIFY_MAX_N = 10_000
 # compute f and phi take about 2 s at this n on a 2-vCPU x86-64 machine,
@@ -76,7 +73,7 @@ def _parse_range(text: str) -> range:
         lo = _integer(first, "range start", 1, COMPUTE_MAX_N)
         hi = _integer(last, "range end", 1, COMPUTE_MAX_N)
         if lo > hi:
-            raise UsageError(f"empty range {text!r}")
+            raise UsageError(f"empty range {_cut(text)!r}")
         return range(lo, hi + 1)
     n = _integer(text, "n", 1, COMPUTE_MAX_N)
     return range(n, n + 1)
@@ -152,7 +149,7 @@ def _decimal_by_halves(value: int) -> str:
 
 
 def _format_set(elems) -> str:
-    return "{" + ",".join(str(e) for e in elems) + "}"
+    return "{" + ",".join(_decimal(e) for e in elems) + "}"
 
 
 def _sampled_ks(n: int, k_max: int | None) -> list[int]:
@@ -164,14 +161,14 @@ def _sampled_ks(n: int, k_max: int | None) -> list[int]:
 # ---------------------------------------------------------------- compute
 
 # Per function: the one option it takes besides --n (None, "k" or "d"),
-# and the module and name of its count.  The count is looked up when it
-# runs, so a function patched into the module is the one called.
+# and the module and name of its count.  Both are looked up when it runs,
+# so a function patched into the module is the one called.
 _COMPUTE = {
-    "f": (None, counting, "count_relprime"),
-    "fk": ("k", counting, "count_relprime_k"),
-    "phi": (None, setphi, "subset_phi"),
-    "phik": ("k", setphi, "subset_phi_k"),
-    "psi": ("d", setphi, "subset_psi"),
+    "f": (None, "counting", "count_relprime"),
+    "fk": ("k", "counting", "count_relprime_k"),
+    "phi": (None, "setphi", "subset_phi"),
+    "phik": ("k", "setphi", "subset_phi_k"),
+    "psi": ("d", "setphi", "subset_psi"),
 }
 
 
@@ -197,8 +194,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         import json
 
     # Each value is written as soon as it is computed, so a reader that
-    # closes the pipe early stops the run, and no value is held.
-    count = getattr(module, name)
+    # closes the pipe early stops the run; the count's memo keeps every value.
+    count = getattr(getattr(relprime, module), name)
     for i, n in enumerate(ns, 1):
         start = time.perf_counter()
         value = count(n, *extra.values())
@@ -240,20 +237,21 @@ def _within(bounds: tuple[int, int], value: int) -> bool:
 def _suite_recursions(n_max: int, k_max: int | None):
     return _suite_sampled(
         n_max, k_max, 1, "count recursion failed",
-        counting.verify_recursion, counting.verify_recursion_k,
+        relprime.counting.verify_recursion, relprime.counting.verify_recursion_k,
     )
 
 
 def _suite_divisor_sums(n_max: int, k_max: int | None):
     return _suite_sampled(
         n_max, k_max, 1, "divisor sum failed",
-        setphi.verify_divisor_sum, setphi.verify_divisor_sum_k,
+        relprime.setphi.verify_divisor_sum, relprime.setphi.verify_divisor_sum_k,
     )
 
 
 def _suite_bounds(n_max: int, k_max: int | None):
     # The unrestricted sandwich is checked from n = 2 on; see the
     # bounds discussion in the README.
+    counting = relprime.counting
     return _suite_sampled(
         n_max, k_max, 1, "sandwich violated",
         lambda n: n < 2 or _within(counting.sandwich_bounds(n), counting.count_relprime(n)),
@@ -262,6 +260,7 @@ def _suite_bounds(n_max: int, k_max: int | None):
 
 
 def _suite_asymptotics(n_max: int, k_max: int | None):
+    setphi = relprime.setphi
     return _suite_sampled(
         n_max, k_max, 2, "residual envelope violated",
         lambda n: abs(setphi.asymptotic_report(n).residual) <= setphi.residual_bound(n),
@@ -272,8 +271,7 @@ def _suite_asymptotics(n_max: int, k_max: int | None):
 
 
 def _suite_oracle(n_max: int, k_max: int | None):
-    from . import oracle
-
+    counting, oracle, setphi = relprime.counting, relprime.oracle, relprime.setphi
     for n in range(1, n_max + 1):
         scan = oracle.gcd_histogram(n)  # one 2^n scan serves every check at n
         if counting.count_relprime(n) != scan.with_gcd(1):
@@ -286,7 +284,7 @@ def _suite_oracle(n_max: int, k_max: int | None):
                 yield f"count formula disagrees at n={n}, k={k}"
             if setphi.subset_phi_k(n, k) != scan.with_gcd_n(1, k):
                 yield f"subset phi disagrees at n={n}, k={k}"
-        for d in divisors(n):
+        for d in relprime.arith.divisors(n):
             if setphi.subset_psi(n, d) != scan.with_gcd_n(d):
                 yield f"subset psi disagrees at n={n}, d={d}"
         yield None
@@ -296,11 +294,9 @@ def _suite_affine(trials: int, _k_max):
     import random
     from fractions import Fraction
 
-    from . import affine
-
-    affine_map = affine.affine_map
-    canonical_form = affine.canonical_form
-    invariant_profile = affine.invariant_profile
+    affine_map = relprime.affine.affine_map
+    canonical_form = relprime.affine.canonical_form
+    invariant_profile = relprime.affine.invariant_profile
     # The draws of Random(20070103).randint and .choice: randint(lo, hi) is
     # lo + below(hi - lo + 1) and choice(s) is s[below(len(s))], where below
     # draws as their _randbelow does.  The stream is the same, without
@@ -356,7 +352,7 @@ def _suite_closed_forms(_n_max, _k_max):
                (1 << p * q) - (1 << q) - (1 << p) + 2)
               for p, q in ((2, 3), (2, 5), (3, 5), (2, 7))]
     for message, n, expected in forms:
-        yield None if setphi.subset_phi(n) == expected else message
+        yield None if relprime.setphi.subset_phi(n) == expected else message
 
 
 _SUITES = {
@@ -371,12 +367,7 @@ _SUITES = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "oracle":
-        from . import oracle  # only this suite loads the oracle
-
-        guard = oracle.ORACLE_MAX
-    else:
-        guard = VERIFY_MAX_N
+    guard = relprime.oracle.ORACLE_MAX if args.suite == "oracle" else VERIFY_MAX_N
     if args.n_max is None:
         n_max = min(_DEFAULT_N_MAX, guard)
     else:
@@ -396,8 +387,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- affine
 
 def _cmd_affine(args: argparse.Namespace) -> int:
-    from . import affine
-
+    affine = relprime.affine
     action = args.action
     sets = [[_integer(tok, "set element") for tok in text.split(",")]
             for text in args.set or []]
@@ -439,8 +429,7 @@ def _cmd_affine(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ bench
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import oracle
-
+    arith, counting, oracle = relprime.arith, relprime.counting, relprime.oracle
     ns = _parse_n_list(args.n)
     reps = _integer(args.reps, "--reps", 1, BENCH_MAX_REPS)
     for n in ns:

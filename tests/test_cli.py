@@ -597,6 +597,23 @@ class TestAffine:
         assert code == 0
         assert out.strip() == "C={0,2,3,6} D={0,3,4,6} representative={0,2,3,6}"
 
+    def test_canon_prints_elements_past_the_int_string_limit(self, capsys):
+        # Each element has 4300 digits, but the base holds their 4301-digit difference.
+        elements = "-" + "9" * 4300 + ",0,1" + "0" * 4299
+        code, out, err = run(capsys, "affine", "canon", "--set", elements)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            form = affine.canonical_form([int(e) for e in elements.split(",")])
+            assert max(len(str(e)) for e in form.base) == 4301
+            expected = " ".join(
+                f"{label}={{{','.join(str(e) for e in part)}}}"
+                for label, part in zip(("C", "D", "representative"), form)
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out, err) == (0, expected + "\n", "")
+
     def test_equiv_true(self, capsys):
         code, out, _ = run(
             capsys, "affine", "equiv", "--set", "2,8,11,20", "--set", "-4,10,17,38"
@@ -800,6 +817,9 @@ class TestIntegerArguments:
         assert (code, err) == (2, "error: n must be <= 10000000, got 99999999999999999999...\n")
         code, _, err = run(capsys, "compute", "psi", "--n", "6", "--d", "9" * 4000)
         assert (code, err) == (2, "error: --d must be <= 10000000, got 99999999999999999999...\n")
+        # int() strips the spaces of each end, so the range is read, and found empty.
+        code, _, err = run(capsys, "compute", "f", "--n", "9" + " " * 5000 + "..1")
+        assert (code, err) == (2, "error: empty range '9" + " " * 19 + "...'\n")
 
     def test_d_at_the_cap(self, capsys):
         assert run(capsys, "compute", "psi", "--n", "10000000", "--d", "10000000") == (0, "1\n", "")

@@ -86,15 +86,35 @@ def modules_after_main(*argv: str) -> list[str]:
 
 class TestImportFootprint:
     HEAVY = ("relprime.affine", "relprime.oracle", "dataclasses", "fractions", "decimal", "json")
+    COUNTING_LAYERS = ("relprime.counting", "relprime.setphi")
 
     @pytest.mark.parametrize(
         "argv",
-        [("compute", "f", "--n", "5"), ("verify", "recursions", "--n-max", "50")],
+        [
+            ("compute", "f", "--n", "5"),
+            ("verify", "recursions", "--n-max", "50"),
+            ("compute", "phi", "--n", "5"),
+        ],
     )
     def test_counting_commands_load_no_heavy_module(self, argv):
         modules = modules_after_main(*argv)
-        assert "relprime.counting" in modules
+        # f, f_k and their recursions live in counting; Φ, Φ_k and ψ in setphi.
+        home = "relprime.setphi" if argv[1] == "phi" else "relprime.counting"
+        assert [m for m in self.COUNTING_LAYERS if m in modules] == [home]
         assert [m for m in self.HEAVY if m in modules] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("affine", "dist", "--n", "5"),
+            ("affine", "canon", "--set", "2,8,11,20"),
+            ("verify", "affine", "--n-max", "50"),
+        ],
+    )
+    def test_affine_commands_load_no_counting_layer(self, argv):
+        modules = modules_after_main(*argv)
+        assert "relprime.affine" in modules
+        assert [m for m in ("relprime.arith", *self.COUNTING_LAYERS) if m in modules] == []
 
     def test_json_output_loads_json(self):
         assert "json" in modules_after_main("compute", "f", "--n", "5", "--format", "json")
