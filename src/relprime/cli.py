@@ -28,10 +28,14 @@ COMPUTE_MAX_N = 10_000_000
 # as one, and 1..14141, the longest range from 1, about 1.4 times.
 COMPUTE_MAX_TOTAL_N = 100_000_000
 _DEFAULT_N_MAX = 1000  # verify --n-max when omitted, lowered to the suite's cap
-# One repetition at the enumeration guard n = 26 scans 2^26 sets in about
-# 0.15 s on a 2-vCPU x86-64 machine, so this many take about 15 s.  No
-# request does more: --reps times the sum of 2^n over its n is at most
-# this many times 2^26.
+# The oracle counts the subsets of each half of {1,...,n}, so a repetition
+# at n costs about 2^ceil(n/2), but up to n = 32 a fixed cost dominates:
+# 1600 repetitions at any n <= 32 take at most about 1.5 times as long as
+# 100 at the enumeration guard.  So each n counts as 2^max(ceil(n/2),
+# ceil(ORACLE_MAX/2) - 4), and --reps times the sum of that over the n is at
+# most this many times 2^ceil(ORACLE_MAX/2).  One repetition at the guard,
+# n = 40, takes about 0.06 s on a 2-vCPU x86-64 machine, so this many take
+# about 6 s.
 BENCH_MAX_REPS = 100
 
 
@@ -273,7 +277,7 @@ def _suite_asymptotics(n_max: int, k_max: int | None):
 def _suite_oracle(n_max: int, k_max: int | None):
     counting, oracle, setphi = relprime.counting, relprime.oracle, relprime.setphi
     for n in range(1, n_max + 1):
-        scan = oracle.gcd_histogram(n)  # one 2^n scan serves every check at n
+        scan = oracle.gcd_histogram(n)  # one histogram serves every check at n
         if counting.count_relprime(n) != scan.with_gcd(1):
             yield f"count formula disagrees with enumeration at n={n}"
         if setphi.subset_phi(n) != scan.with_gcd_n(1):
@@ -435,9 +439,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for n in ns:
         if n > oracle.ORACLE_MAX:
             raise UsageError(f"bench n={n} exceeds the enumeration guard of {oracle.ORACLE_MAX}")
-    if reps * sum(1 << n for n in ns) > BENCH_MAX_REPS << oracle.ORACLE_MAX:
-        raise UsageError("--reps times the sum of 2^n must be "
-                         f"<= {BENCH_MAX_REPS} * 2^{oracle.ORACLE_MAX}")
+    top = -(-oracle.ORACLE_MAX // 2)
+    if reps * sum(1 << max(-(-n // 2), top - 4) for n in ns) > BENCH_MAX_REPS << top:
+        raise UsageError(f"--reps times the sum of 2^max(ceil(n/2), {top - 4}) must be "
+                         f"<= {BENCH_MAX_REPS} * 2^{top}")
     for n in ns:
         formula_s = float("inf")
         for _ in range(reps):

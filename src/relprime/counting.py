@@ -15,9 +15,10 @@ the kernel in arith).  The self-referential recursions
     sum_{d=1..n} count_relprime_k([n/d], k) = C(n, k)
 
 are kept as verification checks, not as the evaluation path.  They sum
-on the split the Mertens recursion in arith uses: with s = isqrt(n), the
-d <= [n/(s+1)] one at a time, then each q <= s weighted by the number
-[n/q] - [n/(q+1)] of d with [n/d] = q.
+on the split the Mertens recursion in arith uses: with s = isqrt(n), each
+q <= s weighted by the number [n/q] - [n/(q+1)] of d with [n/d] = q,
+then the d <= [n/(s+1)] one at a time, d descending.  So q ascends, and
+the running total is no longer than the terms added so far.
 """
 
 from __future__ import annotations
@@ -81,17 +82,17 @@ def sandwich_bounds_k(n: int, k: int) -> tuple[int, int]:
 def verify_recursion(n: int) -> bool:
     """True iff sum_{d=1..n} count_relprime([n/d]) = 2^n - 1 exactly.
 
-    Each distinct q = [n/d] is read once: those past isqrt(n) one d at a
-    time, the others times their number of d.
+    Each distinct q = [n/d] is read once, q ascending: those up to
+    isqrt(n) times their number of d, the others one d at a time.
     """
     if n < 1:
         raise ValueError("verify_recursion requires n >= 1")
     s = math.isqrt(n)
     total = 0
-    for d in range(1, n // (s + 1) + 1):
-        total += count_relprime(n // d)
     for q in range(1, s + 1):
         total += (n // q - n // (q + 1)) * count_relprime(q)
+    for d in range(n // (s + 1), 0, -1):
+        total += count_relprime(n // d)
     return total == (1 << n) - 1
 
 
@@ -107,9 +108,9 @@ def verify_recursion_k(n: int, k: int) -> bool:
     s = math.isqrt(n)
     top = min(n // (s + 1), n // k)
     total = 0
-    for d in range(1, top + 1):
-        total += count_relprime_k(n // d, k)
     for q in range(k, s + 1):
         total += (n // q - n // (q + 1)) * count_relprime_k(q, k)
+    for d in range(top, 0, -1):
+        total += count_relprime_k(n // d, k)
     return total == binomial(n, k)
 

@@ -399,7 +399,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite,summary",
         [
-            ("oracle", "oracle: 26 checks passed"),
+            ("oracle", "oracle: 40 checks passed"),
             ("recursions", "recursions: 1000 checks passed"),
             ("divisor-sums", "divisor-sums: 1000 checks passed"),
             ("bounds", "bounds: 1000 checks passed"),
@@ -430,7 +430,7 @@ class TestVerify:
         assert out.strip() == "recursions: 5 checks passed"
 
     def test_oracle_guard(self, capsys):
-        code, _, err = run(capsys, "verify", "oracle", "--n-max", "30")
+        code, _, err = run(capsys, "verify", "oracle", "--n-max", "41")
         assert code == 2
         assert "n-max" in err
 
@@ -690,7 +690,7 @@ class TestBench:
         assert "n=12" in out and "speedup=" in out
 
     def test_guard(self, capsys):
-        assert run(capsys, "bench", "--n", "30")[0] == 2
+        assert run(capsys, "bench", "--n", "41")[0] == 2
 
     def test_rejects_bad_reps(self, capsys):
         assert run(capsys, "bench", "--n", "8", "--reps", "0")[0] == 2
@@ -703,12 +703,13 @@ class TestBench:
     def small_bound(self, monkeypatch):
         from relprime import oracle
 
-        # Lowered, so that the bound is 3 * 2^10 sets scanned.
+        # Lowered, so that the bound is 3 * 2^5, and each n counts as
+        # 2^max(ceil(n/2), 1): 2 up to n = 2, then 4, 8, 16 and 32 at n = 10.
         monkeypatch.setattr(oracle, "ORACLE_MAX", 10)
         monkeypatch.setattr(cli, "BENCH_MAX_REPS", 3)
 
     @pytest.mark.parametrize(
-        "argv,lines", [("--n 10 --reps 3", 1), ("--n 9,9 --reps 3", 2), ("--n 1..9,1 --reps 3", 10)]
+        "argv,lines", [("--n 10 --reps 3", 1), ("--n 8,8 --reps 3", 2), ("--n 1..6,1,1 --reps 3", 8)]
     )
     def test_work_at_the_bound(self, capsys, small_bound, argv, lines):
         code, out, err = run(capsys, "bench", *argv.split())
@@ -717,20 +718,31 @@ class TestBench:
     @pytest.mark.parametrize("argv", ["--n 10,1 --reps 3", "--n 1..10 --reps 3", "--n 10,10 --reps 2"])
     def test_work_past_the_bound(self, capsys, small_bound, argv):
         assert run(capsys, "bench", *argv.split()) == (
-            2, "", "error: --reps times the sum of 2^n must be <= 3 * 2^10\n"
+            2, "", "error: --reps times the sum of 2^max(ceil(n/2), 1) must be <= 3 * 2^5\n"
         )
 
     def test_documented_requests_are_within_the_bound(self, capsys, monkeypatch):
         from relprime import oracle
 
-        # The formula stands in for the 2^n scan, so only the bound is at stake.
+        # The formula stands in for the enumeration, so only the bound is at stake.
         monkeypatch.setattr(oracle, "enumerate_relprime", count_relprime)
-        assert run(capsys, "bench", "--n", "26", "--reps", "100")[0] == 0
-        assert run(capsys, "bench", "--n", "1..26", "--reps", "50")[0] == 0
-        assert run(capsys, "bench", "--n", "26,1", "--reps", "100") == (
-            2, "", "error: --reps times the sum of 2^n must be <= 100 * 2^26\n"
+        assert run(capsys, "bench", "--n", "40", "--reps", "100")[0] == 0
+        assert run(capsys, "bench", "--n", ",".join(["32"] * 1600), "--reps", "1")[0] == 0
+        assert run(capsys, "bench", "--n", "1..32", "--reps", "50")[0] == 0
+        assert run(capsys, "bench", "--n", "40,1", "--reps", "100") == (
+            2, "", "error: --reps times the sum of 2^max(ceil(n/2), 16) must be <= 100 * 2^20\n"
         )
-        assert run(capsys, "bench", "--n", "1..26", "--reps", "51")[0] == 2
+        assert run(capsys, "bench", "--n", "1..32", "--reps", "51")[0] == 2
+        # No n counts for less than 1/16 of one at the guard.
+        assert run(capsys, "bench", "--n", ",".join(["1"] * 1600), "--reps", "1")[0] == 0
+        assert run(capsys, "bench", "--n", ",".join(["1"] * 1601), "--reps", "1")[0] == 2
+
+    def test_many_small_n_are_refused(self, capsys):
+        # Each n has a fixed cost: 8000 of n = 1 at the --reps cap ran for
+        # about a minute under a bound of --reps times the sum of 2^n.
+        code, out, err = run(capsys, "bench", "--n", ",".join(["1"] * 8000), "--reps", "100")
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert len(err) < 100
 
     def test_each_repetition_starts_cold(self, capsys, monkeypatch):
         clears = []
@@ -775,7 +787,7 @@ _INTEGER_ARGUMENTS = [
     ("compute fk --n 5 --k {}", "--k", [("0", ">= 1")]),
     ("compute psi --n 6 --d {}", "--d", [("0", ">= 1"), ("10000001", "<= 10000000")]),
     ("verify recursions --n-max {}", "--n-max", [("0", ">= 1"), ("10001", "<= 10000")]),
-    ("verify oracle --n-max {}", "--n-max", [("0", ">= 1"), ("27", "<= 26")]),
+    ("verify oracle --n-max {}", "--n-max", [("0", ">= 1"), ("41", "<= 40")]),
     ("verify recursions --n-max 5 --k-max {}", "--k-max", [("0", ">= 1")]),
     ("affine dist --n {}", "--n", [("-1", ">= 0"), ("21", "<= 20")]),
     ("affine dist --n 4 --k {}", "--k", [("0", ">= 1")]),

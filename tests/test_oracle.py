@@ -1,7 +1,11 @@
+import inspect
 import math
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
+from relprime import oracle
 from relprime.arith import divisors
 from relprime.counting import count_relprime, count_relprime_k
 from relprime.oracle import (
@@ -27,6 +31,89 @@ def full_gcd_count(n: int) -> int:
             g = math.gcd(g, v)
         total += g == 1
     return total
+
+
+# The oracle as it stood before the two-halves combine, kept verbatim as
+# the reference for its counts: the gcds of all subsets of {1,...,16} in a
+# low table, mapped through g -> gcd(g, h) for every subset of the rest.
+
+_LOW_BITS = 16  # the low table holds the gcds of 2^16 subsets
+
+
+def _gcds_by_size(elements, gcd_with: list[bytes]) -> list[bytes]:
+    """by_size[k]: the gcd of every k-subset of elements, one byte each."""
+    by_size = [b"\0"]  # the empty set
+    for e in elements:
+        extended = [gcds.translate(gcd_with[e]) for gcds in by_size]
+        by_size = [
+            without + with_e
+            for without, with_e in zip(by_size + [b""], [b""] + extended)
+        ]
+    return by_size
+
+
+def split_scan_counts(n: int):
+    gcd_with = [bytes(gcd(g, e) for g in range(256)) for e in range(n + 1)]
+    split = min(n, _LOW_BITS)
+    low = _gcds_by_size(range(1, split + 1), gcd_with)
+    high = _gcds_by_size(range(split + 1, n + 1), gcd_with)
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for high_size, high_gcds in enumerate(high):
+        for h in high_gcds:
+            # gcd(g, h) divides h; an empty high part (h = 0) leaves g as it is.
+            values = range(split + 1) if h == 0 else [g for g in range(1, h + 1) if h % g == 0]
+            for low_size, low_gcds in enumerate(low):
+                gcds = low_gcds.translate(gcd_with[h])
+                row = counts[high_size + low_size]
+                for g in values:
+                    row[g] += gcds.count(g)
+    return tuple(map(tuple, counts))
+
+
+def formula_disagreements(n: int) -> list:
+    """Every enumerate_* at n that differs from its formula, for every k and d."""
+    wrong = []
+    if enumerate_relprime(n) != count_relprime(n):
+        wrong.append("f")
+    if enumerate_subset_phi(n) != subset_phi(n):
+        wrong.append("phi")
+    for k in range(1, n + 1):
+        if enumerate_relprime_k(n, k) != count_relprime_k(n, k):
+            wrong.append(("f_k", k))
+        if enumerate_subset_phi_k(n, k) != subset_phi_k(n, k):
+            wrong.append(("phi_k", k))
+    for d in divisors(n):
+        if enumerate_subset_psi(n, d) != subset_psi(n, d):
+            wrong.append(("psi", d))
+    for d in range(1, n + 1):
+        if enumerate_count_by_gcd(n, d) != count_relprime(n // d):
+            wrong.append(("by_gcd", d))
+    return wrong
+
+
+def one_scan_per_n(monkeypatch):
+    """Every enumerate_* at the same n reads one histogram."""
+    monkeypatch.setattr(oracle, "gcd_histogram", lru_cache(maxsize=1)(oracle.gcd_histogram))
+
+
+def _without_empty_high_subset(monkeypatch):
+    by_size = oracle._gcds_by_size
+
+    def mutant(elements, gcd_with):
+        gcds = by_size(elements, gcd_with)
+        if elements.start > 1:  # the high half loses its empty subset
+            gcds[0] = b""
+        return gcds
+
+    monkeypatch.setattr(oracle, "_gcds_by_size", mutant)
+
+
+def _max_for_gcd_in_the_combine(monkeypatch):
+    source = inspect.getsource(oracle.gcd_histogram)
+    assert source.count("row[gcd(g, h)]") == 1
+    namespace = dict(vars(oracle))
+    exec(source.replace("row[gcd(g, h)]", "row[max(g, h)]"), namespace)
+    monkeypatch.setattr(oracle, "gcd_histogram", namespace["gcd_histogram"])
 
 
 # Reference per-mask scans: one independent 2^n loop per count, kept as
@@ -132,7 +219,7 @@ def reference_count_by_gcd(n: int, d: int) -> int:
 
 class TestGuards:
     def test_rejects_outside_range(self):
-        for bad in (0, -3, ORACLE_MAX + 1, 40):
+        for bad in (0, -3, ORACLE_MAX + 1, 41):
             with pytest.raises(ValueError):
                 enumerate_relprime(bad)
             with pytest.raises(ValueError):
@@ -247,10 +334,31 @@ class TestAgainstPerMaskReference:
                 assert enumerate_count_by_gcd(n, d) == reference_count_by_gcd(n, d), (n, d)
 
     def test_histogram_covers_every_subset_once(self):
-        # The split into a 2^16 low table and a loop over high parts
-        # starts at n = 17; every (size, gcd) cell sums to C(n, size).
-        for n in (1, 2, 16, 17, 18, 20):
+        # The halves {1..n//2} and {n//2+1..n}: empty at n = 1, equal at
+        # even n, the high one larger at odd n.  Every (size, gcd) row sums
+        # to C(n, size).
+        for n in (1, 2, 3, 16, 17, 18, 20, 39, ORACLE_MAX):
             counts = gcd_histogram(n).counts
             assert counts[0] == (1,) + (0,) * n, n
             for size, row in enumerate(counts):
                 assert sum(row) == math.comb(n, size), (n, size)
+
+
+class TestTwoHalves:
+    def test_equals_the_split_scan(self):
+        for n in range(1, 27):
+            assert gcd_histogram(n).counts == split_scan_counts(n), n
+
+    def test_equals_the_formulas_past_the_split_scan(self, monkeypatch):
+        one_scan_per_n(monkeypatch)
+        for n in range(27, ORACLE_MAX + 1):
+            assert formula_disagreements(n) == [], n
+
+    @pytest.mark.parametrize("mutate", [_without_empty_high_subset, _max_for_gcd_in_the_combine])
+    def test_mutants_are_caught(self, monkeypatch, mutate):
+        mutate(monkeypatch)
+        for n in range(2, 27):
+            assert oracle.gcd_histogram(n).counts != split_scan_counts(n), n
+        one_scan_per_n(monkeypatch)
+        for n in (27, ORACLE_MAX):
+            assert formula_disagreements(n) != [], n
