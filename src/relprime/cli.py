@@ -198,7 +198,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         import json
 
     # Each value is written as soon as it is computed, so a reader that
-    # closes the pipe early stops the run; the count's memo keeps every value.
+    # closes the pipe early stops the run, and no value is kept after it is printed.
     count = getattr(getattr(relprime, module), name)
     for i, n in enumerate(ns, 1):
         start = time.perf_counter()
@@ -446,7 +446,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for n in ns:
         formula_s = float("inf")
         for _ in range(reps):
-            counting.count_relprime.cache_clear()
             arith._clear_kernel_memos()
             start = time.perf_counter()
             formula_value = counting.count_relprime(n)

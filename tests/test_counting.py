@@ -84,11 +84,16 @@ class TestCountRelprimeK:
             total = sum(count_relprime_k(n, k) for k in range(1, n + 1))
             assert total == count_relprime(n), n
 
-    def test_memoized(self):
-        count_relprime_k.cache_clear()
-        assert count_relprime_k(30, 4) == count_relprime_k(30, 4)
-        info = count_relprime_k.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    def test_memoized(self, cold_known):
+        # The count keeps nothing; the recursion check's memo keeps the
+        # 7 distinct [30/d] >= 4, and a second check reads only those.
+        assert not hasattr(count_relprime_k, "cache_info")
+        assert verify_recursion_k(30, 4)
+        info = counting._known.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 7, 7)
+        assert verify_recursion_k(30, 4)
+        info = counting._known.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (7, 7, 7)
 
     def test_rejects_zero_arguments(self):
         with pytest.raises(ValueError):
@@ -235,8 +240,7 @@ class TestSplitSums:
         rng = random.Random(SPLIT_N_MAX)
         arbitrary = [rng.getrandbits(64) for _ in range(SPLIT_N_MAX + 2)]
         count = RecordingCount()
-        monkeypatch.setattr(counting, "count_relprime", count)
-        monkeypatch.setattr(counting, "count_relprime_k", count)
+        monkeypatch.setattr(counting, "_known", count)
         for n in range(1, SPLIT_N_MAX + 1):
             terms = plain_terms(n)
             for k in (None, *split_ks(n)):
@@ -250,7 +254,7 @@ class TestSplitSums:
                 assert holds, (n, k)
                 assert sorted(count.asked) == sorted(count.values), (n, k)
 
-    def test_a_count_off_by_one_at_one_q_is_caught(self, monkeypatch):
+    def test_a_count_off_by_one_at_one_q_is_caught(self, monkeypatch, cold_known):
         def off_at_12(q, k):
             return count_relprime_k(q, k) + (q == 12)
 

@@ -320,3 +320,32 @@ class TestCentralBinomial:
         assert not any(t.is_alive() for t in threads)
         assert sorted(finished) == [0, 1, 2, 3]
         assert wrong == []
+
+
+class TestTheTwoKernelsAgree:
+    """Identities that tie the quotient kernel (f, f_k) to the divisor kernel (Phi, Phi_k).
+
+    For n >= 2, pair each A counted by Phi(n) with A xor {n}: of each pair,
+    the set that holds n has gcd 1, so f(n) - f(n-1) = Phi(n)/2.  By size,
+    Phi_k(n) counts the k-sets with n, Delta f_k(n), and the k-sets without
+    it, Delta f_{k+1}(n).  Phi(n) is n times the number of binary Lyndon
+    words of length n, so n | Phi(n).
+    """
+
+    @pytest.mark.parametrize(
+        "ns", [range(2, 3001), (10**7 - 1, 10**7)], ids=["n<=3000", "n=1e7-1,1e7"]
+    )
+    def test_phi_is_twice_the_step_of_f(self, ns):
+        f = {n: count_relprime(n) for m in ns for n in (m - 1, m)}
+        for n in ns:
+            phi = subset_phi(n)
+            assert 2 * (f[n] - f[n - 1]) == phi, n
+            assert phi % n == 0, n
+
+    def test_phi_k_is_the_sum_of_two_steps_of_f_k(self):
+        def step(n, k):  # f_k(m) is 0 for k > m
+            return count_relprime_k(n, k) - count_relprime_k(n - 1, k)
+
+        for n in range(2, 200):
+            for k in range(1, n + 1):
+                assert subset_phi_k(n, k) == step(n, k) + step(n, k + 1), (n, k)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from relprime import setphi
 from relprime.arith import divisors, euler_phi
 from relprime.setphi import (
     asymptotic_report,
@@ -109,11 +110,16 @@ class TestSubsetPhiK:
             total = sum(subset_phi_k(n, k) for k in range(1, n + 1))
             assert total == subset_phi(n), n
 
-    def test_memoized(self):
-        subset_phi_k.cache_clear()
-        assert subset_phi_k(30, 4) == subset_phi_k(30, 4)
-        info = subset_phi_k.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    def test_memoized(self, cold_known):
+        # The count keeps nothing; the divisor-sum check's memo keeps the
+        # 5 divisors of 30 that are >= 4, and a second check reads only those.
+        assert not hasattr(subset_phi_k, "cache_info")
+        assert verify_divisor_sum_k(30, 4)
+        info = setphi._known.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 5, 5)
+        assert verify_divisor_sum_k(30, 4)
+        info = setphi._known.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (5, 5, 5)
 
     def test_rejects_zero_arguments(self):
         with pytest.raises(ValueError):
