@@ -18,7 +18,6 @@ import time
 
 import relprime
 
-VERIFY_MAX_N = 10_000
 # compute f and phi take about 2 s at this n on a 2-vCPU x86-64 machine,
 # mostly converting their n-bit values to decimal; beyond it the time
 # grows a little faster than n.
@@ -156,12 +155,6 @@ def _format_set(elems) -> str:
     return "{" + ",".join(_decimal(e) for e in elems) + "}"
 
 
-def _sampled_ks(n: int, k_max: int | None) -> list[int]:
-    ks = {1, 2, 3, 5, 8, n // 2, n}
-    top = n if k_max is None else min(n, k_max)
-    return sorted(k for k in ks if 1 <= k <= top)
-
-
 # ---------------------------------------------------------------- compute
 
 # Per function: the one option it takes besides --n (None, "k" or "d"),
@@ -217,169 +210,19 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------- verify
-#
-# A suite is a generator that yields once per check: None when the check
-# passed, or the failure message when it did not.  It is not resumed
-# after a message.
-
-def _suite_sampled(n_max: int, k_max: int | None, first_n: int, stem: str, at_n, at_nk):
-    """One check per n from first_n: at_n(n), then at_nk(n, k) per sampled k."""
-    for n in range(first_n, n_max + 1):
-        if not at_n(n):
-            yield f"{stem} at n={n}"
-        for k in _sampled_ks(n, k_max):
-            if not at_nk(n, k):
-                yield f"{stem} at n={n}, k={k}"
-        yield None
-
-
-def _within(bounds: tuple[int, int], value: int) -> bool:
-    lo, hi = bounds
-    return lo <= value <= hi
-
-
-def _suite_recursions(n_max: int, k_max: int | None):
-    return _suite_sampled(
-        n_max, k_max, 1, "count recursion failed",
-        relprime.counting.verify_recursion, relprime.counting.verify_recursion_k,
-    )
-
-
-def _suite_divisor_sums(n_max: int, k_max: int | None):
-    return _suite_sampled(
-        n_max, k_max, 1, "divisor sum failed",
-        relprime.setphi.verify_divisor_sum, relprime.setphi.verify_divisor_sum_k,
-    )
-
-
-def _suite_bounds(n_max: int, k_max: int | None):
-    # The unrestricted sandwich is checked from n = 2 on; see the
-    # bounds discussion in the README.
-    counting = relprime.counting
-    return _suite_sampled(
-        n_max, k_max, 1, "sandwich violated",
-        lambda n: n < 2 or _within(counting.sandwich_bounds(n), counting.count_relprime(n)),
-        lambda n, k: _within(counting.sandwich_bounds_k(n, k), counting.count_relprime_k(n, k)),
-    )
-
-
-def _suite_asymptotics(n_max: int, k_max: int | None):
-    setphi = relprime.setphi
-    return _suite_sampled(
-        n_max, k_max, 2, "residual envelope violated",
-        lambda n: abs(setphi.asymptotic_report(n).residual) <= setphi.residual_bound(n),
-        lambda n, k: (
-            abs(setphi.asymptotic_report_k(n, k).residual) <= setphi.residual_bound_k(n, k)
-        ),
-    )
-
-
-def _suite_oracle(n_max: int, k_max: int | None):
-    counting, oracle, setphi = relprime.counting, relprime.oracle, relprime.setphi
-    for n in range(1, n_max + 1):
-        scan = oracle.gcd_histogram(n)  # one histogram serves every check at n
-        if counting.count_relprime(n) != scan.with_gcd(1):
-            yield f"count formula disagrees with enumeration at n={n}"
-        if setphi.subset_phi(n) != scan.with_gcd_n(1):
-            yield f"subset phi disagrees with enumeration at n={n}"
-        top = n if k_max is None else min(n, k_max)
-        for k in range(1, top + 1):
-            if counting.count_relprime_k(n, k) != scan.with_gcd(1, k):
-                yield f"count formula disagrees at n={n}, k={k}"
-            if setphi.subset_phi_k(n, k) != scan.with_gcd_n(1, k):
-                yield f"subset phi disagrees at n={n}, k={k}"
-        for d in relprime.arith.divisors(n):
-            if setphi.subset_psi(n, d) != scan.with_gcd_n(d):
-                yield f"subset psi disagrees at n={n}, d={d}"
-        yield None
-
-
-def _suite_affine(trials: int, _k_max):
-    import random
-    from fractions import Fraction
-
-    affine_map = relprime.affine.affine_map
-    canonical_form = relprime.affine.canonical_form
-    invariant_profile = relprime.affine.invariant_profile
-    # The draws of Random(20070103).randint and .choice: randint(lo, hi) is
-    # lo + below(hi - lo + 1) and choice(s) is s[below(len(s))], where below
-    # draws as their _randbelow does.  The stream is the same, without
-    # three Python frames per draw.
-    bits = random.Random(20070103).getrandbits
-
-    def below(n: int) -> int:
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return r
-
-    dilations = [v for v in range(-6, 7) if v != 0]
-    # Each dilation p/q and each translation is built once.
-    xs = {(p, q): Fraction(p, q) for p in dilations for q in range(1, 7)}
-    ys: dict[tuple[int, int], Fraction] = {}
-    for _ in range(trials):
-        size = below(8) + 1
-        base = set()
-        while len(base) < size:
-            base.add(below(61) - 30)
-        q = below(6) + 1
-        p = dilations[below(12)]
-        anchor = below(21) - 10
-        w = below(21) - 10
-        # a is constant mod q by construction, so x = p/q acts integrally
-        # with the matching translation.
-        a = [q * r + anchor for r in base]
-        x = xs[p, q]
-        key = (w * q - p * anchor, q)
-        y = ys.get(key)
-        if y is None:
-            y = ys[key] = Fraction(*key)
-        b = affine_map(a, x, y)
-        form = canonical_form(a)
-        if form.representative != canonical_form(b).representative:
-            yield f"representative not preserved for {sorted(a)}"
-        if invariant_profile(a) != invariant_profile(b):
-            yield f"invariant profile not preserved for {sorted(a)}"
-        if canonical_form(form.base).base != form.base:
-            yield f"canonicalization not idempotent for {sorted(a)}"
-        yield None
-
-
-def _suite_closed_forms(_n_max, _k_max):
-    # (failure message, n, the closed form of subset_phi(n))
-    forms = [(f"prime closed form failed at p={p}", p, (1 << p) - 2)
-             for p in (2, 3, 5, 7, 11, 13)]
-    forms += [(f"prime-square closed form failed at p={p}", p * p, (1 << p * p) - (1 << p))
-              for p in (2, 3, 5)]
-    forms += [(f"semiprime closed form failed at pq={p * q}", p * q,
-               (1 << p * q) - (1 << q) - (1 << p) + 2)
-              for p, q in ((2, 3), (2, 5), (3, 5), (2, 7))]
-    for message, n, expected in forms:
-        yield None if relprime.setphi.subset_phi(n) == expected else message
-
-
-_SUITES = {
-    "recursions": _suite_recursions,
-    "divisor-sums": _suite_divisor_sums,
-    "bounds": _suite_bounds,
-    "asymptotics": _suite_asymptotics,
-    "oracle": _suite_oracle,
-    "affine": _suite_affine,
-    "closed-forms": _suite_closed_forms,
-}
-
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    guard = relprime.oracle.ORACLE_MAX if args.suite == "oracle" else VERIFY_MAX_N
+    from relprime.checks import SUITES  # only verify compiles the suites
+
+    lowest, highest, suite = SUITES[args.suite]
     if args.n_max is None:
-        n_max = min(_DEFAULT_N_MAX, guard)
+        n_max = min(_DEFAULT_N_MAX, highest)
     else:
-        n_max = _integer(args.n_max, "--n-max", 1, guard)
+        n_max = _integer(args.n_max, "--n-max", lowest, highest)
     # Below 1 every k-restricted check would be skipped in silence.
     k_max = None if args.k_max is None else _integer(args.k_max, "--k-max", 1)
     checks = 0
-    for failure in _SUITES[args.suite](n_max, k_max):
+    for failure in suite(range(lowest, n_max + 1), k_max):
         if failure is not None:
             print(f"{args.suite}: FAIL after {checks} passing checks: {failure}")
             return 1
@@ -497,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(handler=_cmd_compute)
 
     p_verify = sub.add_parser("verify", help="run an identity/cross-check suite")
-    p_verify.add_argument("suite", choices=sorted(_SUITES))
+    # The rows of relprime.checks.SUITES, which only verify imports.
+    p_verify.add_argument("suite", choices=(
+        "affine", "asymptotics", "bounds", "closed-forms", "divisor-sums", "kernels",
+        "oracle", "recursions",
+    ))
     p_verify.add_argument(
         "--n-max",
         help="upper end of the check range (trial count for the affine suite); "

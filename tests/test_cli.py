@@ -381,6 +381,7 @@ class TestVerify:
             ("oracle", 10),
             ("affine", 50),
             ("closed-forms", 40),
+            ("kernels", 60),
         ],
     )
     def test_suites_pass(self, capsys, suite, n_max):
@@ -430,6 +431,7 @@ class TestVerify:
             ("asymptotics", "asymptotics: 999 checks passed"),
             ("affine", "affine: 1000 checks passed"),
             ("closed-forms", "closed-forms: 13 checks passed"),
+            ("kernels", "kernels: 999 checks passed"),
         ],
     )
     def test_default_n_max(self, capsys, suite, summary):
@@ -439,7 +441,29 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "everything")[0] == 2
 
-    @pytest.mark.parametrize("suite", ["recursions", "divisor-sums", "bounds", "oracle"])
+    def test_parser_lists_the_rows_of_the_table(self):
+        from relprime.checks import SUITES
+
+        verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+        (suite,) = [action for action in verify._actions if action.dest == "suite"]
+        assert list(suite.choices) == sorted(SUITES)
+
+    def test_the_oracle_cap_is_the_enumeration_guard(self):
+        from relprime import checks, oracle
+
+        assert checks.SUITES["oracle"][:2] == (1, oracle.ORACLE_MAX)
+
+    @pytest.mark.parametrize("suite", ["asymptotics", "kernels"])
+    def test_a_suite_that_would_check_nothing_is_a_usage_error(self, capsys, suite):
+        # Both start at n = 2, so --n-max 1 would report 0 checks as a success.
+        assert run(capsys, "verify", suite, "--n-max", "1") == (
+            2, "", "error: --n-max must be >= 2, got 1\n"
+        )
+        assert run(capsys, "verify", suite, "--n-max", "2") == (
+            0, f"{suite}: 1 checks passed\n", ""
+        )
+
+    @pytest.mark.parametrize("suite", ["recursions", "divisor-sums", "bounds", "oracle", "kernels"])
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_k_max_below_one_is_usage_error(self, capsys, suite, k_max):
         # It would skip every k-restricted check and still report success.
@@ -529,6 +553,16 @@ class TestVerify:
              "2 passing checks: subset phi disagrees at n=3, k=3"),
             ("oracle", "setphi", "subset_psi", lambda n, d: subset_psi(n, d) + (d == 3),
              "2 passing checks: subset psi disagrees at n=3, d=3"),
+            # f(6) loses its (-1, 2) term; Phi(6) is untouched, so 6 | Phi(6) still holds.
+            ("kernels", "counting", "_quotient_weights",
+             lambda n: arith._quotient_weights(n)[n == 6:],
+             "4 passing checks: f step disagrees with Phi at n=6"),
+            # Phi(6) loses its (1, 1) term: 54 - 1 is not a multiple of 6.
+            ("kernels", "setphi", "_divisor_weights", lambda n: arith._divisor_weights(n)[n == 6:],
+             "4 passing checks: Phi not divisible by n at n=6"),
+            ("kernels", "counting", "count_relprime_k",
+             lambda n, k: count_relprime_k(n, k) + (n == 6 and k == 1),
+             "4 passing checks: f_k steps disagree with Phi_k at n=6, k=1"),
         ],
     )
     def test_failure_messages(self, capsys, monkeypatch, suite, module, name, broken, failure):

@@ -102,6 +102,8 @@ class TestImportFootprint:
         home = "relprime.setphi" if argv[1] == "phi" else "relprime.counting"
         assert [m for m in self.COUNTING_LAYERS if m in modules] == [home]
         assert [m for m in self.HEAVY if m in modules] == []
+        # Only verify loads the suites.
+        assert ("relprime.checks" in modules) == (argv[0] == "verify")
 
     @pytest.mark.parametrize(
         "argv",
@@ -115,6 +117,7 @@ class TestImportFootprint:
         modules = modules_after_main(*argv)
         assert "relprime.affine" in modules
         assert [m for m in ("relprime.arith", *self.COUNTING_LAYERS) if m in modules] == []
+        assert ("relprime.checks" in modules) == (argv[0] == "verify")
 
     def test_json_output_loads_json(self):
         assert "json" in modules_after_main("compute", "f", "--n", "5", "--format", "json")
@@ -123,6 +126,9 @@ class TestImportFootprint:
         modules = modules_after_main("affine", "dist", "--n", "5")
         assert "relprime.affine" in modules
         assert [m for m in ("fractions", "dataclasses") if m in modules] == []
+
+    def test_bench_loads_no_suites(self):
+        assert "relprime.checks" not in modules_after_main("bench", "--n", "5", "--reps", "1")
 
     def test_bare_import_loads_no_submodule(self):
         _, modules = fresh_run("import relprime")
