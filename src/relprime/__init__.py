@@ -69,7 +69,7 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli"}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"checks", "cli"}
 
 
 def __getattr__(name: str):

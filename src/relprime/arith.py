@@ -11,7 +11,9 @@ through q = [n/d], so n is first turned into a short tuple of
 
     d = 1..n   (f, f_k)     one pair per distinct quotient q, O(sqrt n)
                             pairs, weight M(n/q) - M(n/(q+1)) from the
-                            Mertens function M;
+                            Mertens function M, read from a sieved table
+                            and, at the few n/q past it, from one loop
+                            over the identity sum_{d<=x} M([x/d]) = 1;
     d | n      (Phi, Phi_k) one pair per squarefree divisor d, 2^omega(n)
                             pairs, weight mu(d), from trial factoring n.
 """
@@ -110,57 +112,13 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(divs)
 
 
-class _Mertens:
-    """The Mertens function M(x) = sum_{d<=x} mu(d), exact for every x >= 0.
-
-    Arguments up to the table limit are read from prefix sums of a Mobius
-    sieve.  Larger ones come from the identity sum_{d<=x} M([x/d]) = 1
-    (Deleglise & Rivat, "Computing the summation of the Mobius function",
-    Experimental Math. 5, 1996), memoized; its quotient blocks read the
-    table once the table covers x^(2/3), which the first call for x
-    arranges.  A recursion costs about 2 sqrt(x) steps and a sieve up to
-    x about x, so once the recursions since the last sieve have cost more
-    than a sieve over the argument at hand, the table is re-sieved over
-    it: a dense run of arguments (every n up to some bound) ends up as
-    table reads.
-    """
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self.prefix = [0, 1]  # M(0), M(1), ..., M(limit)
-        self.memo: dict[int, int] = {}  # M(x) for x past the table
-        self.spent = 0  # recursion steps since the table was sieved
-
-    def _sieve(self, limit: int) -> None:
-        self.prefix = list(accumulate(mobius_sieve(limit)))
-        self.spent = 0
-
-    def __call__(self, x: int) -> int:
-        prefix = self.prefix
-        if x < len(prefix):
-            return prefix[x]
-        value = self.memo.get(x)
-        if value is not None:
-            return value
-        limit = len(prefix) - 1
-        # A power of two at or above x^(2/3), so repeated growth doubles.
-        need = 1 << -(-2 * x.bit_length() // 3)
-        if self.spent > x or need > limit:
-            self._sieve(max(x if self.spent > x else need, 2 * limit))
-            return self(x)
-        s = math.isqrt(x)
-        self.spent += 2 * s
-        # d = 2..[x/(s+1)] one at a time, then the d with [x/d] = q <= s
-        # in one block per q; the blocks start past d = 1 because x > s.
-        value = 1 - sum(self(x // d) for d in range(2, x // (s + 1) + 1))
-        value -= sum((x // q - x // (q + 1)) * self(q) for q in range(1, s + 1))
-        self.memo[x] = value
-        return value
-
-
-_mertens = _Mertens()
+# M(0), M(1), ..., M(len - 1), the Mertens function M(x) = sum_{d<=x} mu(d)
+# as prefix sums of a Mobius sieve.  Always rebound as a whole list, never
+# mutated, so a thread that holds it reads it whole.
+_table = [0, 1]
+# Steps of the loop past the table since it was sieved; an update lost to
+# another thread only delays a re-sieve.
+_steps = 0
 
 
 @lru_cache(maxsize=8)
@@ -170,23 +128,47 @@ def _quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
     With s = isqrt(n), each q <= s has a block of d ending at [n/q], and
     each d up to top = [n/(s+1)] is a block of its own, with q = [n/d] > s.
     So the weights are the differences of M over the block ends
-    [n/1] > ... > [n/s] > top > top - 1 > ... > 0, read as one list:
-    computing M(n) first sizes the table past n^(2/3), so the ends are
-    table reads but for the few [n/q] past it, which are in the memo.
+    [n/1] > ... > [n/s] > top > top - 1 > ... > 0, read as one list.
+
+    The table covers n^(2/3), so it holds every end but the [n/q] with
+    q <= past = [n/len(table)].  Those come from the identity
+    sum_{d<=x} M([x/d]) = 1 (Deleglise & Rivat, "Computing the summation
+    of the Mobius function", Experimental Math. 5, 1996) at x = [n/q],
+    q = past, ..., 1: with r = isqrt(x), the d <= [x/(r+1)] one at a time,
+    each M([x/d]) = M([n/(qd)]) an end already computed when qd <= past
+    and a table entry otherwise, then the d with [x/d] = p <= r in one
+    block per p.  The loop costs about 2 sqrt(x) steps per end and a sieve
+    up to n about n, so once the steps since the last sieve pass n the
+    table is sieved to n: a dense run of n (every n up to some bound) ends
+    up as table reads.  Otherwise the table is sieved to a power of two at
+    or above n^(2/3), so repeated growth doubles it.
+
     Pairs of weight 0 are dropped and q ascends.  Memoized briefly: one
     n is usually asked for once per sampled k.
     """
-    _mertens(n)  # sizes the table past n^(2/3), hence past top
-    prefix = _mertens.prefix  # replaced on a re-sieve, never mutated
+    global _table, _steps
+    table = _table
+    if n >= len(table):
+        need = 1 << -(-2 * n.bit_length() // 3)
+        if _steps > n or need >= len(table):
+            limit = max(n if _steps > n else need, 2 * (len(table) - 1))
+            table = _table = list(accumulate(mobius_sieve(limit)))
+            _steps = 0
+    past = n // len(table)
+    ends = [0] * (past + 1)  # ends[q] = M([n/q]) for q <= past
+    for q in range(past, 0, -1):
+        x = n // q
+        r = math.isqrt(x)
+        _steps += 2 * r
+        value = 1 - sum(
+            ends[q * d] if q * d <= past else table[x // d]
+            for d in range(2, x // (r + 1) + 1)
+        )
+        value -= sum((x // p - x // (p + 1)) * table[p] for p in range(1, r + 1))
+        ends[q] = value
     s = math.isqrt(n)
     top = n // (s + 1)
-    past = min(n // len(prefix), s)  # the q whose [n/q] is past the table
-    ends = [_mertens(n // q) for q in range(1, past + 1)]
-    ends += [prefix[n // q] for q in range(past + 1, s + 1)]
-    if top < len(prefix):
-        ends += prefix[top::-1]
-    else:  # another thread shrank the table since M(n)
-        ends += [_mertens(d) for d in range(top, -1, -1)]
+    ends = ends[1:] + [table[n // q] for q in range(past + 1, s + 1)] + table[top::-1]
     qs = list(range(1, s + 1)) + [n // d for d in range(top, 0, -1)]
     return tuple([(a - b, q) for a, b, q in zip(ends, ends[1:], qs) if a != b])
 
@@ -263,9 +245,10 @@ def _sum_k_subsets(weights: tuple[tuple[int, int], ...], k: int) -> int:
 
 def _clear_kernel_memos() -> None:
     """Forget every memo of the kernel, so the next sum is computed cold."""
-    global _central
+    global _central, _table, _steps
     _central = (0, 1)
+    _table = [0, 1]
+    _steps = 0
     _divisors.cache_clear()
     _quotient_weights.cache_clear()
     _divisor_weights.cache_clear()
-    _mertens.clear()

@@ -16,11 +16,11 @@ the kernel in arith).  The self-referential recursions
 
 are kept as verification checks, not as the evaluation path.  The counts
 keep no values; the checks, which ask for each [n/d] again and again,
-read them through one memo.  They sum on the split the Mertens recursion
-in arith uses: with s = isqrt(n), each q <= s weighted by the number
-[n/q] - [n/(q+1)] of d with [n/d] = q, then the d <= [n/(s+1)] one at a
-time, d descending.  So q ascends, and the running total is no longer
-than the terms added so far.
+read them through one memo.  They sum on the split that arith's loop for
+the Mertens values past its table uses: with s = isqrt(n), each q <= s
+weighted by the number [n/q] - [n/(q+1)] of d with [n/d] = q, then the
+d <= [n/(s+1)] one at a time, d descending.  So q ascends, and the
+running total is no longer than the terms added so far.
 """
 
 from __future__ import annotations

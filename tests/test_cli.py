@@ -803,14 +803,16 @@ class TestBench:
         assert len(err) < 100
 
     def test_each_repetition_starts_cold(self, capsys, monkeypatch):
-        clears = []
-        monkeypatch.setattr(arith._mertens, "clear", lambda: clears.append(1))
+        sieves = []
+        sieve = arith.mobius_sieve
+        monkeypatch.setattr(arith, "mobius_sieve", lambda limit: sieves.append(limit) or sieve(limit))
         arith._divisor_weights(12)
         arith._divisors(12)
         monkeypatch.setattr(arith, "_central", (7, 35))
         code, _, _ = run(capsys, "bench", "--n", "12,13", "--reps", "3")
         assert code == 0
-        assert len(clears) == 6
+        # Each repetition sieves the Mertens table again from [0, 1].
+        assert len(sieves) == 6
         # The last repetition found no weights left over from the one before.
         assert arith._quotient_weights.cache_info().hits == 0
         assert arith._divisor_weights.cache_info().currsize == 0

@@ -4,21 +4,21 @@ The references sum mu(d) * g([n/d]) over every d (or every divisor d),
 with mu read from a sieve, exactly as the formulas are written.
 """
 
+import inspect
 import math
 import random
 import sys
 import threading
+from functools import cache
 from itertools import accumulate
 
 import pytest
 
 from relprime import arith
 from relprime.arith import (
-    _Mertens,
     _clear_kernel_memos,
     _comb,
     _divisor_weights,
-    _mertens,
     _quotient_weights,
     binomial,
     mobius_sieve,
@@ -105,17 +105,24 @@ def quotient_blocks(n: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def reference_quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
-    """The per-block build of _quotient_weights(n), kept as it stood.
+@cache
+def mertens_table() -> list[int]:
+    """M(0..10^6), the Mertens function as prefix sums of a sieve."""
+    return list(accumulate(mobius_sieve(10**6)))
 
-    Each weight is M(hi) - M(lo - 1) over the block lo..hi of d; pairs of
-    weight 0 are dropped and q ascends.
+
+def reference_quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
+    """The per-block build of _quotient_weights(n) for n <= 10^6.
+
+    Each weight is M(hi) - M(lo - 1) over the block lo..hi of d, with M
+    read from a full sieve; pairs of weight 0 are dropped and q ascends.
     """
+    table = mertens_table()
     pairs = []
     hi = before = 0  # before = M(lo - 1)
     for size, q in quotient_blocks(n):
         hi += size
-        upto = _mertens(hi)
+        upto = table[hi]
         if upto != before:
             pairs.append((upto - before, q))
         before = upto
@@ -124,7 +131,7 @@ def reference_quotient_weights(n: int) -> tuple[tuple[int, int], ...]:
 
 
 class TestQuotientWeightsAgainstPerBlockBuild:
-    """The weights read as one list of Mertens values, against one call per block."""
+    """The weights read as one list of Mertens values, against one read per block."""
 
     SPOT = (65_537, 10**5, 999_983, 10**6)
 
@@ -152,23 +159,32 @@ class TestQuotientWeightsAgainstPerBlockBuild:
         _clear_kernel_memos()
 
     def test_table_cleared_between_m_of_n_and_the_reads(self, expected, monkeypatch):
-        class ClearedAfterN(_Mertens):
-            """Clears itself once M(n) is known, as another thread may."""
+        class ClearsOnFirstIsqrt:
+            """math, but the first isqrt resets the table, as another thread's clear may.
 
-            def __init__(self, n: int) -> None:
-                super().__init__()
-                self.n = n
+            The table has been sized by then, and the ends past it are
+            about to be computed from it.
+            """
 
-            def __call__(self, x: int) -> int:
-                value = super().__call__(x)
-                if x == self.n:
-                    self.n = None
-                    self.clear()
-                return value
+            def __init__(self) -> None:
+                self.armed = True
 
-        for n in (2, 3, 100, 3000, 10**5):
-            monkeypatch.setattr(arith, "_mertens", ClearedAfterN(n))
-            assert _quotient_weights.__wrapped__(n) == expected[n], n
+            def isqrt(self, x: int) -> int:
+                if self.armed:
+                    self.armed = False
+                    arith._table = [0, 1]
+                return math.isqrt(x)
+
+        for n in (2, 3, 100, 3000, 10**5, 10**6):
+            for warm in (False, True):  # a table sized from [0, 1], or left by n - 1
+                _clear_kernel_memos()
+                if warm:
+                    _quotient_weights.__wrapped__(n - 1)
+                monkeypatch.setattr(arith, "math", ClearsOnFirstIsqrt())
+                assert _quotient_weights.__wrapped__(n) == expected[n], (n, warm)
+                assert arith._table == [0, 1]
+                monkeypatch.setattr(arith, "math", math)
+        _clear_kernel_memos()
 
     def test_threads_building_while_the_table_is_resieved(self, expected):
         _clear_kernel_memos()
@@ -186,11 +202,12 @@ class TestQuotientWeightsAgainstPerBlockBuild:
                 done.set()
 
         def resieve() -> None:
-            # Grows the table, or shrinks it as a clear does.
-            limits = (16, 5000, 300, 20_000, 1)
+            # Clears the kernel, then grows the table again as a sum would.
+            limits = (16, 5000, 300, 20_000)
             i = 0
             while not done.is_set():
-                _mertens._sieve(limits[i % len(limits)])
+                _clear_kernel_memos()
+                arith._table = list(accumulate(mobius_sieve(limits[i % len(limits)])))
                 i += 1
             finished.append("resieve")
 
@@ -210,33 +227,47 @@ class TestQuotientWeightsAgainstPerBlockBuild:
         assert wrong == []
 
 
+def mertens(x: int) -> int:
+    """M(x) as the sum of the quotient weights of x, which telescope to M(x) - M(0)."""
+    return sum(w for w, _ in _quotient_weights.__wrapped__(x))
+
+
 class TestMertens:
     @pytest.mark.parametrize(
         "x,expected",
         [(10, -1), (10**2, 1), (10**3, 2), (10**4, -23), (10**5, -48), (10**6, 212)],
     )
     def test_known_values(self, x, expected):
-        assert _mertens(x) == expected
-        assert _Mertens()(x) == expected  # cold: small table, recursion above it
+        _clear_kernel_memos()
+        assert mertens(x) == expected  # cold: small table, the loop past it
+        assert mertens(x) == expected  # the table this x sized
+        mertens(2 * 10**6)
+        assert mertens(x) == expected  # warm: the table a larger x sized
+        _clear_kernel_memos()
 
     def test_matches_sieve_prefix_sums(self):
         prefix = list(accumulate(MU[:3001]))
-        ascending = _Mertens()  # a dense run re-sieves as it goes
-        assert [ascending(x) for x in range(3001)] == prefix
-        big_first = _Mertens()  # the first call sizes the table for 3000
-        assert big_first(3000) == prefix[3000]
-        assert [big_first(x) for x in range(3000, -1, -1)] == prefix[::-1]
+        _clear_kernel_memos()  # a dense run re-sieves as it goes
+        assert [mertens(x) for x in range(3001)] == prefix
+        _clear_kernel_memos()  # the first call sizes the table for 3000
+        assert mertens(3000) == prefix[3000]
+        assert [mertens(x) for x in range(3000, -1, -1)] == prefix[::-1]
+        _clear_kernel_memos()
 
     def test_clear_forgets_everything(self):
-        mertens = _Mertens()
+        _clear_kernel_memos()
+        _quotient_weights(10**5)  # one entry in the weight memo
         assert mertens(10**5) == -48
-        mertens.clear()
-        assert (mertens.prefix, mertens.memo, mertens.spent) == ([0, 1], {}, 0)
+        assert len(arith._table) > 2 and arith._steps > 0
+        _clear_kernel_memos()
+        assert (arith._table, arith._steps) == ([0, 1], 0)
+        assert _quotient_weights.cache_info().currsize == 0
         assert mertens(10**5) == -48
+        _clear_kernel_memos()
 
     def test_threads_sharing_one_instance_read_exact_values(self):
         prefix = list(accumulate(MU[:8001]))
-        mertens = _Mertens()
+        _clear_kernel_memos()
         wrong: list[int] = []
         finished: list[int] = []  # an exception in a thread skips its append
 
@@ -256,9 +287,47 @@ class TestMertens:
                 t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+            _clear_kernel_memos()
         assert not any(t.is_alive() for t in threads)
         assert sorted(finished) == [0, 1, 2, 3]
         assert wrong == []
+
+
+def mutant(old: str, new: str):
+    """_quotient_weights with old replaced by new in its source, on a table of its own."""
+    source = inspect.getsource(_quotient_weights.__wrapped__)
+    assert source.count(old) == 1
+    namespace = {**vars(arith), "_table": [0, 1], "_steps": 0}
+    exec(source.replace(old, new), namespace)
+    return namespace["_quotient_weights"].__wrapped__
+
+
+class TestMutantsOfTheLoopPastTheTable:
+    """Each mutant must get some n wrong, or fail on a read past the table."""
+
+    MUTANTS = {
+        "an end read from the table at qd = past": ("q * d <= past", "q * d < past"),
+        "the d range ending one early": (
+            "range(2, x // (r + 1) + 1)",
+            "range(2, x // (r + 1))",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_mutant_is_caught(self, name):
+        weights = mutant(*self.MUTANTS[name])
+        caught = []
+        for n in (100, 3000, 65_537, 10**5, 999_983, 10**6):
+            try:
+                caught.append(weights(n) != reference_quotient_weights(n))
+            except IndexError:
+                caught.append(True)
+        assert any(caught), name
+
+    def test_the_unmutated_source_agrees(self):
+        weights = mutant("q * d <= past", "q * d <= past")
+        for n in (100, 3000, 65_537, 10**5, 999_983, 10**6):
+            assert weights(n) == reference_quotient_weights(n), n
 
 
 class TestCentralBinomial:

@@ -11,7 +11,7 @@ import pytest
 import relprime
 
 SRC = Path(relprime.__file__).resolve().parents[1]
-SUBMODULES = ("affine", "arith", "cli", "counting", "oracle", "setphi")
+SUBMODULES = ("affine", "arith", "checks", "cli", "counting", "oracle", "setphi")
 
 # The public surface, in the order __all__ has always listed it.
 PUBLIC = [
