@@ -21,10 +21,8 @@ _EXPORTS = {
             "affine_map",
             "affinely_equivalent",
             "canonical_form",
-            "difference_set",
             "integer_set",
             "invariant_profile",
-            "linear_form_image",
             "sumset",
             "sumset_size_distribution",
         )),
@@ -44,7 +42,6 @@ _EXPORTS = {
         )),
         ("oracle", (
             "ORACLE_MAX",
-            "enumerate_count_by_gcd",
             "enumerate_relprime",
             "enumerate_relprime_k",
             "enumerate_subset_phi",

@@ -7,18 +7,15 @@ anchored at 0 with gcd 1, each the mirror image of the other; a
 singleton normalizes to {0}.  Equivalence testing compares a designated
 representative, the lexicographically smaller of the two forms.
 
-Sumset and difference-set cardinalities are affine invariants, as is
-the image size of any integer linear form evaluated over the set.
+Sumset and difference-set cardinalities are affine invariants.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd
 from typing import Iterable, NamedTuple
 
 DIST_MAX_N = 20  # the 2^n subsets of {0,...,n} that contain 0 are walked
-LINEAR_FORM_MAX_TUPLES = 10_000_000
 # invariant_profile's bitsets beat pairwise sets below this span for every
 # size; at it, 2- and 3-element sets take about as long either way.
 _BITSET_SPAN = 2048
@@ -127,33 +124,6 @@ def sumset(a: Iterable[int], b: Iterable[int]) -> IntSet:
     """Pairwise sums {x + y}, sorted and deduplicated."""
     ea, eb = integer_set(a), integer_set(b)
     return tuple(sorted({x + y for x in ea for y in eb}))
-
-
-def difference_set(a: Iterable[int], b: Iterable[int]) -> IntSet:
-    """Pairwise differences {x - y}, sorted and deduplicated."""
-    ea, eb = integer_set(a), integer_set(b)
-    return tuple(sorted({x - y for x in ea for y in eb}))
-
-
-def linear_form_image(a: Iterable[int], coeffs: Iterable[int], offset: int = 0) -> IntSet:
-    """Image {u_1*a_1 + ... + u_m*a_m + offset} over all m-tuples from a.
-
-    Tuples range with repetition, so the expansion has |a|^m terms; the
-    LINEAR_FORM_MAX_TUPLES ceiling guards against accidental blowups.
-    """
-    elems = integer_set(a)
-    us = tuple(int(u) for u in coeffs)
-    if not us:
-        raise ValueError("coefficient list must be nonempty")
-    if len(elems) ** len(us) > LINEAR_FORM_MAX_TUPLES:
-        raise ValueError(
-            f"{len(elems)}^{len(us)} tuples exceeds the ceiling of {LINEAR_FORM_MAX_TUPLES}"
-        )
-    values = {
-        offset + sum(u * t for u, t in zip(us, tup))
-        for tup in product(elems, repeat=len(us))
-    }
-    return tuple(sorted(values))
 
 
 def invariant_profile(a: Iterable[int]) -> InvariantProfile:

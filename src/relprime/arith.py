@@ -214,22 +214,26 @@ def _comb(n: int, k: int) -> int:
     read back, n is stepped from n - 1 when that is the one held,
     C(n, [n/2]) = 2 C(n-1, [(n-1)/2]) for even n and
     n C(n-1, [(n-1)/2]) / (n - [n/2]) for odd n,
-    and any other n pays one math.comb.  Other (n, k) go straight to
-    math.comb.
+    and any other n pays one math.comb.  The kernels suite, which samples
+    k = [n/2] and k + 1 at n and at n - 1, also asks for the binomial next
+    to the centre, C(n, i - 1) = C(n, i) i / (n - i + 1) at i = [n/2]:
+    one multiply and one exact divide from the central one held or
+    stepped (at n <= 1 the same test takes k = n + 1, and the factor
+    i = 0 gives 0).  Other (n, k) go straight to math.comb.
     """
     global _central
     half = n >> 1
-    if min(k, n - k) != half:  # also k > n, where C(n, k) = 0
+    i = min(k, n - k)  # at most half
+    if i < half - 1:  # also k > n, where C(n, k) = 0
         return math.comb(n, k)
     m, value = _central
-    if m == n:
-        return value
-    if m == n - 1:
-        value = value << 1 if n & 1 == 0 else value * n // (n - half)
-    else:
-        value = math.comb(n, half)
-    _central = (n, value)
-    return value
+    if m != n:
+        if m == n - 1:
+            value = value << 1 if n & 1 == 0 else value * n // (n - half)
+        else:
+            value = math.comb(n, half)
+        _central = (n, value)
+    return value if i == half else value * half // (n - half + 1)
 
 
 def _sum_k_subsets(weights: tuple[tuple[int, int], ...], k: int) -> int:

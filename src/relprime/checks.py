@@ -65,7 +65,8 @@ def _suite_kernels(ns: range, k_max: int | None):
     For n >= 2: n | Phi(n), 2 (f(n) - f(n-1)) = Phi(n), and, per sampled
     k, Phi_k(n) = f_k(n) - f_k(n-1) + f_{k+1}(n) - f_{k+1}(n-1).  The
     values at n - 1 are kept from the n before, or computed before those
-    at n, so a central binomial C(n, [n/2]) is stepped from C(n-1, ...).
+    at n, so a central binomial C(n, [n/2]) is stepped from C(n-1, ...),
+    and the one next to it, C(n, [n/2] + 1) at even n, is read off it.
     """
     counting, setphi = relprime.counting, relprime.setphi
     before = {0: counting.count_relprime(ns.start - 1)}  # f(n-1) at key 0, f_k(n-1) at k
@@ -177,7 +178,5 @@ SUITES = {
     "oracle": (1, 40, _suite_oracle),
     "affine": (1, VERIFY_MAX_N, _suite_affine),
     "closed-forms": (1, VERIFY_MAX_N, _suite_closed_forms),
-    # About 2 s at 5000 on a 2-vCPU x86-64 machine, under recursions' 2.6 s
-    # at VERIFY_MAX_N; each n re-sums f_k over its quotients for 12 or so k.
-    "kernels": (2, 5000, _suite_kernels),
+    "kernels": (2, VERIFY_MAX_N, _suite_kernels),
 }

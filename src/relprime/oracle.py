@@ -116,9 +116,3 @@ def enumerate_subset_psi(n: int, d: int) -> int:
         raise ValueError(f"enumerate_subset_psi requires d | n; got d={d}, n={n}")
     return gcd_histogram(n).with_gcd_n(d)
 
-
-def enumerate_count_by_gcd(n: int, d: int) -> int:
-    """Count nonempty subsets of {1,...,n} with gcd exactly d."""
-    if not 1 <= d <= n:
-        raise ValueError(f"enumerate_count_by_gcd requires 1 <= d <= n, got d={d}")
-    return gcd_histogram(n).with_gcd(d)

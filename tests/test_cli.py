@@ -453,6 +453,12 @@ class TestVerify:
 
         assert checks.SUITES["oracle"][:2] == (1, oracle.ORACLE_MAX)
 
+    def test_every_other_suite_has_one_cap(self):
+        from relprime import checks
+
+        caps = {name: row[1] for name, row in checks.SUITES.items() if name != "oracle"}
+        assert set(caps.values()) == {checks.VERIFY_MAX_N}, caps
+
     @pytest.mark.parametrize("suite", ["asymptotics", "kernels"])
     def test_a_suite_that_would_check_nothing_is_a_usage_error(self, capsys, suite):
         # Both start at n = 2, so --n-max 1 would report 0 checks as a success.

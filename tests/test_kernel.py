@@ -363,6 +363,56 @@ class TestCentralBinomial:
         assert _comb(10**4, 3) == math.comb(10**4, 3)
         _clear_kernel_memos()
 
+    def test_every_argument_up_to_600(self):
+        # Pascal's rows, which equal math.comb's, from a cleared kernel and
+        # again with the last central binomial held.
+        rows = [[1, 0]]
+        for n in range(1, 601):
+            rows.append([1] + [a + b for a, b in zip(rows[-1], rows[-1][1:])] + [0])
+        assert rows[600][:-1] == [math.comb(600, k) for k in range(601)]
+        _clear_kernel_memos()
+        for _ in range(2):
+            wrong = [(n, k) for n, row in enumerate(rows) for k, c in enumerate(row) if _comb(n, k) != c]
+            assert wrong == []
+        _clear_kernel_memos()
+
+    @staticmethod
+    def within_3_of_centre_disagree(comb, n: int) -> list[tuple[int, int]]:
+        return [(n, k) for k in range(max(n // 2 - 3, 0), n - n // 2 + 4)
+                if comb(n, k) != math.comb(n, k)]
+
+    def test_next_to_centre_walked_up_to_10_4(self):
+        # Every n is walked through C(n, [n/2] - 1) and its mirror, which
+        # step the central one; math.comb, milliseconds apiece near 10^4,
+        # is asked at every 199th n and at the last four.
+        _clear_kernel_memos()
+        wrong = []
+        for n in range(2, 10**4 + 1):
+            _comb(n, n // 2 - 1)
+            _comb(n, n - n // 2 + 1)
+            if n % 199 == 0 or n > 10**4 - 4:
+                wrong += self.within_3_of_centre_disagree(_comb, n)
+        _clear_kernel_memos()
+        assert wrong == []
+
+    def test_next_to_centre_in_a_shuffled_order(self):
+        # Pairs n - 1, n, so that some n are stepped and others are not.
+        rng = random.Random(26)
+        ns = [n for m in rng.sample(range(1, 10**4 + 1), 25) for n in (m - 1, m)]
+        rng.shuffle(ns)
+        _clear_kernel_memos()
+        wrong = [pair for n in ns for pair in self.within_3_of_centre_disagree(_comb, n)]
+        _clear_kernel_memos()
+        assert wrong == []
+
+    def test_dividing_by_n_minus_i_is_caught(self):
+        # C(n, i - 1) = C(n, i) i / (n - i + 1); the mutant drops the + 1.
+        source = inspect.getsource(_comb)
+        assert source.count("(n - half + 1)") == 1
+        namespace = {**vars(arith), "_central": (0, 1)}
+        exec(source.replace("(n - half + 1)", "(n - half)"), namespace)
+        assert any(self.within_3_of_centre_disagree(namespace["_comb"], n) for n in range(2, 200))
+
     def test_threads_read_exact_values(self, central):
         _clear_kernel_memos()
         walks = [range(0, 1001), range(1000, 2001), range(500, 1501), range(2000, -1, -3)]

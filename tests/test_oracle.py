@@ -10,7 +10,6 @@ from relprime.arith import divisors
 from relprime.counting import count_relprime, count_relprime_k
 from relprime.oracle import (
     ORACLE_MAX,
-    enumerate_count_by_gcd,
     gcd_histogram,
     enumerate_relprime,
     enumerate_relprime_k,
@@ -85,8 +84,9 @@ def formula_disagreements(n: int) -> list:
     for d in divisors(n):
         if enumerate_subset_psi(n, d) != subset_psi(n, d):
             wrong.append(("psi", d))
+    scan = oracle.gcd_histogram(n)  # the one the enumerate_* read, patched or not
     for d in range(1, n + 1):
-        if enumerate_count_by_gcd(n, d) != count_relprime(n // d):
+        if scan.with_gcd(d) != count_relprime(n // d):
             wrong.append(("by_gcd", d))
     return wrong
 
@@ -224,22 +224,15 @@ class TestGuards:
                 enumerate_relprime(bad)
             with pytest.raises(ValueError):
                 enumerate_subset_phi(bad)
-        # The other four wrappers, with valid k and d, rely on the same check.
+        # The other three wrappers, with valid k and d, rely on the same check.
         for bad in (0, ORACLE_MAX + 1):
-            for call in (enumerate_relprime_k, enumerate_subset_phi_k,
-                         enumerate_subset_psi, enumerate_count_by_gcd):
+            for call in (enumerate_relprime_k, enumerate_subset_phi_k, enumerate_subset_psi):
                 with pytest.raises(ValueError):
                     call(bad, 1)
 
     def test_psi_requires_divisor(self):
         with pytest.raises(ValueError):
             enumerate_subset_psi(6, 4)
-
-    def test_count_by_gcd_range(self):
-        with pytest.raises(ValueError):
-            enumerate_count_by_gcd(10, 0)
-        with pytest.raises(ValueError):
-            enumerate_count_by_gcd(10, 11)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -285,20 +278,23 @@ class TestEnumerateSubsetPhi:
 
 class TestCountByGcd:
     def test_examples(self):
-        assert enumerate_count_by_gcd(10, 2) == 26
-        assert enumerate_count_by_gcd(10, 10) == 1
-        assert enumerate_count_by_gcd(10, 7) == 1
+        scan = gcd_histogram(10)
+        assert scan.with_gcd(2) == 26
+        assert scan.with_gcd(10) == 1
+        assert scan.with_gcd(7) == 1
 
     def test_equals_scaled_count(self):
         # Dividing through by d bijects gcd-d subsets of {1..n} onto the
         # relatively prime subsets of {1..[n/d]}.
         for n in range(1, 13):
+            scan = gcd_histogram(n)
             for d in range(1, n + 1):
-                assert enumerate_count_by_gcd(n, d) == count_relprime(n // d), (n, d)
+                assert scan.with_gcd(d) == count_relprime(n // d), (n, d)
 
     def test_partitions_all_subsets(self):
         for n in list(range(1, 13)) + [16, 20]:
-            total = sum(enumerate_count_by_gcd(n, d) for d in range(1, n + 1))
+            scan = gcd_histogram(n)
+            total = sum(scan.with_gcd(d) for d in range(1, n + 1))
             assert total == 2**n - 1, n
 
 
@@ -330,8 +326,9 @@ class TestAgainstPerMaskReference:
                 assert enumerate_subset_phi_k(n, k) == reference_subset_phi_k(n, k), (n, k)
             for d in divisors(n):
                 assert enumerate_subset_psi(n, d) == reference_subset_psi(n, d), (n, d)
+            scan = gcd_histogram(n)
             for d in range(1, n + 1):
-                assert enumerate_count_by_gcd(n, d) == reference_count_by_gcd(n, d), (n, d)
+                assert scan.with_gcd(d) == reference_count_by_gcd(n, d), (n, d)
 
     def test_histogram_covers_every_subset_once(self):
         # The halves {1..n//2} and {n//2+1..n}: empty at n = 1, equal at
