@@ -21,7 +21,7 @@ DIST_MAX_N = 20  # the 2^n subsets of {0,...,n} that contain 0 are walked
 _BITSET_SPAN = 2048
 # invariant_profile's pairwise sets grow as the square of the size; a set of
 # span below _BITSET_SPAN, which the bitsets take, never has more elements.
-PROFILE_MAX_ELEMENTS = 2048
+PROFILE_MAX_ELEMENTS = _BITSET_SPAN
 
 IntSet = tuple[int, ...]
 

@@ -7,7 +7,8 @@ No floating point appears anywhere in a counting path.
 The private Mobius-sum kernel at the end of this module serves all four
 counts.  Each is a sum  sum_d mu(d) * g([n/d])  that depends on d only
 through q = [n/d], so n is first turned into a short tuple of
-(weight, q) pairs and the sum is then evaluated over that tuple:
+(weight, q) pairs and _sum then sums w * g(q) over that tuple, with
+g(q) = C(q, k) for a size k >= 0, or 2^q - 1 for every size, k = None:
 
     d = 1..n   (f, f_k)     one pair per distinct quotient q, O(sqrt n)
                             pairs, weight M(n/q) - M(n/(q+1)) from the
@@ -187,17 +188,6 @@ def _divisor_weights(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _sum_subsets(weights: tuple[tuple[int, int], ...]) -> int:
-    """sum of w * (2^q - 1) over (w, q): weighted nonempty-subset counts.
-
-    q ascends, so the running total stays short until the last terms.
-    """
-    total = 0
-    for w, q in weights:
-        total += (w << q) - w
-    return total
-
-
 # The last central binomial computed, (n, C(n, [n/2])).  Always rebound
 # as a whole tuple, so a thread reads a matching pair or an older one.
 _central = (0, 1)
@@ -236,12 +226,19 @@ def _comb(n: int, k: int) -> int:
     return value if i == half else value * half // (n - half + 1)
 
 
-def _sum_k_subsets(weights: tuple[tuple[int, int], ...], k: int) -> int:
-    """sum of w * C(q, k) over (w, q) with q >= k: weighted k-subset counts.
+def _sum(weights: tuple[tuple[int, int], ...], k: int | None = None) -> int:
+    """sum of w * g(q) over (w, q), weighted subset counts: g(q) = C(q, k)
+    counts those of size k >= 0, and 2^q - 1 the nonempty ones at k = None.
 
+    q ascends, so the running total stays short until the last terms.
     The last pair is (mu(1), n) = (1, n) for both kinds of weights; its
     C(n, k) goes through _comb, like binomial().
     """
+    if k is None:
+        total = 0
+        for w, q in weights:
+            total += (w << q) - w
+        return total
     last = len(weights) - 1
     total = sum(w * math.comb(q, k) for w, q in weights[:last] if q >= k)
     return total + _comb(weights[last][1], k)

@@ -69,18 +69,18 @@ def _suite_kernels(ns: range, k_max: int | None):
     and the one next to it, C(n, [n/2] + 1) at even n, is read off it.
     """
     counting, setphi = relprime.counting, relprime.setphi
-    before = {0: counting.count_relprime(ns.start - 1)}  # f(n-1) at key 0, f_k(n-1) at k
+    before = {None: counting.count_relprime(ns.start - 1)}  # f(n-1) at key None, f_k(n-1) at k
     for n in ns:
         ks = _sampled_ks(n, k_max)
-        terms = sorted({0, *ks, *(k + 1 for k in ks)})
+        terms = [None, *sorted({*ks, *(k + 1 for k in ks)})]
         before = {j: before[j] if j in before else counting.count_relprime_k(n - 1, j)
                   for j in terms}
-        now = {j: counting.count_relprime_k(n, j) if j else counting.count_relprime(n)
+        now = {j: counting.count_relprime(n) if j is None else counting.count_relprime_k(n, j)
                for j in terms}
         phi = setphi.subset_phi(n)
         if phi % n:
             yield f"Phi not divisible by n at n={n}"
-        if 2 * (now[0] - before[0]) != phi:
+        if 2 * (now[None] - before[None]) != phi:
             yield f"f step disagrees with Phi at n={n}"
         for k in ks:
             if setphi.subset_phi_k(n, k) != now[k] - before[k] + now[k + 1] - before[k + 1]:

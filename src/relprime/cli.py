@@ -18,9 +18,9 @@ import time
 
 import relprime
 
-# compute f and phi take about 2 s at this n on a 2-vCPU x86-64 machine,
-# mostly converting their n-bit values to decimal; beyond it the time
-# grows a little faster than n.
+# compute f and phi take 1.3-2.1 s at this n (README's caps table), mostly
+# converting their n-bit values to decimal; beyond it the time grows a
+# little faster than n.
 COMPUTE_MAX_N = 10_000_000
 # A count at n has at most n bits, so the sum of the requested n bounds
 # the output.  Ten n next to COMPUTE_MAX_N take about ten times as long
@@ -244,6 +244,8 @@ def _cmd_affine(args: argparse.Namespace) -> int:
         raise UsageError("affine equiv requires exactly two --set arguments")
     if action != "dist" and (args.n is not None or args.k is not None):
         raise UsageError(f"affine {action} takes --set, not --n/--k")
+    if action != "dist" and args.inequivalent:
+        raise UsageError(f"affine {action} does not take --inequivalent")
     if action == "dist":
         if sets:
             raise UsageError("affine dist takes --n/--k flags, not --set")

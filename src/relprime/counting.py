@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import _quotient_weights, _sum_k_subsets, _sum_subsets, binomial
+from .arith import _quotient_weights, _sum, binomial
 
 
 def count_relprime(n: int) -> int:
@@ -38,7 +38,7 @@ def count_relprime(n: int) -> int:
     """
     if n < 1:
         raise ValueError("count_relprime requires n >= 1")
-    return _sum_subsets(_quotient_weights(n))
+    return _sum(_quotient_weights(n))
 
 
 def count_relprime_k(n: int, k: int) -> int:
@@ -47,14 +47,14 @@ def count_relprime_k(n: int, k: int) -> int:
         raise ValueError("count_relprime_k requires n >= 1 and k >= 1")
     if k > n:
         return 0
-    return _sum_k_subsets(_quotient_weights(n), k)
+    return _sum(_quotient_weights(n), k)
 
 
 @lru_cache(maxsize=None)
-def _known(q: int, k: int = 0) -> int:
-    """count_relprime_k(q, k), or count_relprime(q) at k = 0, for the recursion
+def _known(q: int, k: int | None = None) -> int:
+    """count_relprime_k(q, k), or count_relprime(q) at k = None, for the recursion
     checks; they never ask for the k > q zeros, which would be most of it."""
-    return count_relprime_k(q, k) if k else count_relprime(q)
+    return count_relprime(q) if k is None else count_relprime_k(q, k)
 
 
 def sandwich_bounds(n: int) -> tuple[int, int]:

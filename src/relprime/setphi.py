@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import _divisor_weights, _divisors, _sum_k_subsets, _sum_subsets, binomial
+from .arith import _divisor_weights, _divisors, _sum, binomial
 
 
 class PhiReport(NamedTuple):
@@ -49,7 +49,7 @@ def subset_phi(n: int) -> int:
     """Count of nonempty subsets of {1,...,n} whose gcd is coprime to n."""
     if n < 1:
         raise ValueError("subset_phi requires n >= 1")
-    return _sum_subsets(_divisor_weights(n))
+    return _sum(_divisor_weights(n))
 
 
 def subset_phi_k(n: int, k: int) -> int:
@@ -58,7 +58,7 @@ def subset_phi_k(n: int, k: int) -> int:
         raise ValueError("subset_phi_k requires n >= 1 and k >= 1")
     if k > n:
         return 0
-    return _sum_k_subsets(_divisor_weights(n), k)
+    return _sum(_divisor_weights(n), k)
 
 
 def subset_psi(n: int, d: int) -> int:
@@ -75,10 +75,10 @@ def subset_psi(n: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _known(d: int, k: int = 0) -> int:
-    """subset_phi_k(d, k), or subset_phi(d) at k = 0, for the divisor-sum
+def _known(d: int, k: int | None = None) -> int:
+    """subset_phi_k(d, k), or subset_phi(d) at k = None, for the divisor-sum
     checks; they never ask for the k > d zeros, which would be most of it."""
-    return subset_phi_k(d, k) if k else subset_phi(d)
+    return subset_phi(d) if k is None else subset_phi_k(d, k)
 
 
 def verify_divisor_sum(n: int) -> bool:

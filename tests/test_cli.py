@@ -919,6 +919,18 @@ class TestIntegerArguments:
             assert run(capsys, "affine", "canon", "--set", "1,2", flag, "3") == (
                 2, "", "error: affine canon takes --set, not --n/--k\n"
             )
+        for action, sets in (("canon", ["1,2"]), ("equiv", ["1,2", "3,4"]), ("profile", ["1,2"])):
+            argv = [arg for s in sets for arg in ("--set", s)]
+            assert run(capsys, "affine", action, *argv, "--inequivalent") == (
+                2, "", f"error: affine {action} does not take --inequivalent\n"
+            )
+        # The earlier checks keep their messages.
+        assert run(capsys, "affine", "canon", "--inequivalent") == (
+            2, "", "error: affine canon requires exactly one --set\n"
+        )
+        assert run(capsys, "affine", "canon", "--set", "1,2", "--n", "3", "--inequivalent") == (
+            2, "", "error: affine canon takes --set, not --n/--k\n"
+        )
 
 
 class TestTopLevel:

@@ -14,12 +14,13 @@ from itertools import accumulate
 
 import pytest
 
-from relprime import arith
+from relprime import arith, counting, setphi
 from relprime.arith import (
     _clear_kernel_memos,
     _comb,
     _divisor_weights,
     _quotient_weights,
+    _sum,
     binomial,
     mobius_sieve,
 )
@@ -468,3 +469,42 @@ class TestTheTwoKernelsAgree:
         for n in range(2, 200):
             for k in range(1, n + 1):
                 assert subset_phi_k(n, k) == step(n, k) + step(n, k + 1), (n, k)
+
+
+def size_zero_wrong(evaluate, n_max: int) -> list[int]:
+    """The n <= n_max at which evaluate(weights, 0) is not the sum of the weights.
+
+    C(q, 0) = 1, so the quotient weights of n sum to M(n), and the divisor
+    weights, the mu(d) of d | n, to 1 at n = 1 and 0 otherwise.
+    """
+    mertens_values = list(accumulate(MU[: n_max + 1]))
+    return [n for n in range(1, n_max + 1)
+            if evaluate(_quotient_weights(n), 0) != mertens_values[n]
+            or evaluate(_divisor_weights(n), 0) != (n == 1)]
+
+
+class TestSizeZero:
+    """k = 0 is the size 0, whose binomial C(q, 0) is 1; every size is k = None."""
+
+    def test_sums_of_the_weights_cold_and_warm(self):
+        _clear_kernel_memos()
+        assert size_zero_wrong(_sum, 5000) == []  # cold: the Mertens table grows with n
+        assert size_zero_wrong(_sum, 5000) == []  # warm: the table the first pass left
+        _clear_kernel_memos()
+
+    def test_every_size_at_zero_is_caught(self):
+        # The mutant reads k = 0 as every size, summing 2^q - 1.
+        source = inspect.getsource(_sum)
+        assert source.count("if k is None:") == 1
+        namespace = dict(vars(arith))
+        exec(source.replace("if k is None:", "if not k:"), namespace)
+        assert size_zero_wrong(namespace["_sum"], 30) != []
+
+    @pytest.mark.parametrize(
+        "module,count", [(counting, count_relprime), (setphi, subset_phi)], ids=["f", "phi"]
+    )
+    def test_the_check_memos_read_every_size_as_none(self, cold_known, module, count):
+        for q in range(1, 200):
+            assert module._known(q) == count(q), q
+            with pytest.raises(ValueError):  # the size 0, refused by the k >= 1 check
+                module._known(q, 0)
