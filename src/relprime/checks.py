@@ -5,9 +5,9 @@ on sampled k, and yields once per check: None when the check passed, or
 the failure message when it did not.  It is not resumed after a
 message.  Each suite looks up the library functions it calls through
 their module, when it starts or at each call, so a function patched
-into its module before the run is the one called.
-
-Only the verify command imports this module.
+into its module before the run is the one called.  A row of SUITES
+says whether its suite samples k; verify refuses --k-max for one that
+does not.  Only the verify command imports this module.
 """
 
 from __future__ import annotations
@@ -154,29 +154,31 @@ def _suite_closed_forms(_ns, _k_max):
         yield None if relprime.setphi.subset_phi(n) == expected else message
 
 
-# Each suite's lowest and highest --n-max, and the suite, which checks
-# n from the lowest --n-max up to the one asked for (affine runs one
-# trial per n, and closed-forms its 13 checks whatever the range).
+# Each suite's lowest and highest --n-max, whether it samples k, and the
+# suite, which checks n from the lowest --n-max up to the one asked for
+# (affine runs one trial per n).  closed-forms runs its 13 checks whatever
+# the range, yet takes any --n-max: callers such as the benchmark's verify
+# workload send one and expect those 13 checks.
 SUITES = {
-    "recursions": (1, VERIFY_MAX_N, _sampled(
+    "recursions": (1, VERIFY_MAX_N, True, _sampled(
         "count recursion failed", "counting",
         lambda c, n: c.verify_recursion(n), lambda c, n, k: c.verify_recursion_k(n, k))),
-    "divisor-sums": (1, VERIFY_MAX_N, _sampled(
+    "divisor-sums": (1, VERIFY_MAX_N, True, _sampled(
         "divisor sum failed", "setphi",
         lambda s, n: s.verify_divisor_sum(n), lambda s, n, k: s.verify_divisor_sum_k(n, k))),
     # The unrestricted sandwich is checked from n = 2 on; see the bounds
     # discussion in the README.
-    "bounds": (1, VERIFY_MAX_N, _sampled(
+    "bounds": (1, VERIFY_MAX_N, True, _sampled(
         "sandwich violated", "counting",
         lambda c, n: n < 2 or (b := c.sandwich_bounds(n))[0] <= c.count_relprime(n) <= b[1],
         lambda c, n, k: (b := c.sandwich_bounds_k(n, k))[0] <= c.count_relprime_k(n, k) <= b[1])),
-    "asymptotics": (2, VERIFY_MAX_N, _sampled(
+    "asymptotics": (2, VERIFY_MAX_N, True, _sampled(
         "residual envelope violated", "setphi",
         lambda s, n: abs(s.asymptotic_report(n).residual) <= s.residual_bound(n),
         lambda s, n, k: abs(s.asymptotic_report_k(n, k).residual) <= s.residual_bound_k(n, k))),
     # oracle.ORACLE_MAX, written out so that only this suite imports oracle.
-    "oracle": (1, 40, _suite_oracle),
-    "affine": (1, VERIFY_MAX_N, _suite_affine),
-    "closed-forms": (1, VERIFY_MAX_N, _suite_closed_forms),
-    "kernels": (2, VERIFY_MAX_N, _suite_kernels),
+    "oracle": (1, 40, True, _suite_oracle),
+    "affine": (1, VERIFY_MAX_N, False, _suite_affine),
+    "closed-forms": (1, VERIFY_MAX_N, False, _suite_closed_forms),
+    "kernels": (2, VERIFY_MAX_N, True, _suite_kernels),
 }

@@ -214,11 +214,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from relprime.checks import SUITES  # only verify compiles the suites
 
-    lowest, highest, suite = SUITES[args.suite]
+    lowest, highest, samples_k, suite = SUITES[args.suite]
     if args.n_max is None:
         n_max = min(_DEFAULT_N_MAX, highest)
     else:
         n_max = _integer(args.n_max, "--n-max", lowest, highest)
+    if args.k_max is not None and not samples_k:
+        raise UsageError(f"verify {args.suite} samples no k; it does not take --k-max")
     # Below 1 every k-restricted check would be skipped in silence.
     k_max = None if args.k_max is None else _integer(args.k_max, "--k-max", 1)
     checks = 0
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="upper end of the check range (trial count for the affine suite); "
         "default 1000, or the suite's cap if lower",
     )
-    p_verify.add_argument("--k-max", help="cap on sampled k values")
+    p_verify.add_argument("--k-max", help="cap on sampled k; affine and closed-forms refuse it")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_affine = sub.add_parser("affine", help="canonical forms and invariants")

@@ -447,6 +447,11 @@ class TestVerify:
         verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
         (suite,) = [action for action in verify._actions if action.dest == "suite"]
         assert list(suite.choices) == sorted(SUITES)
+        # The --k-max help names the rows that sample no k, and only those.
+        (k_max,) = [action for action in verify._actions if action.dest == "k_max"]
+        assert {name for name in SUITES if name in k_max.help} == {
+            name for name, row in SUITES.items() if not row[2]
+        }
 
     def test_the_oracle_cap_is_the_enumeration_guard(self):
         from relprime import checks, oracle
@@ -477,6 +482,46 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"--k-max must be >= 1, got {k_max}" in err
+
+    @pytest.mark.parametrize("suite", ["affine", "closed-forms"])
+    @pytest.mark.parametrize("k_max", ["3", "0", "-3", "x"])
+    def test_a_suite_that_samples_no_k_refuses_k_max(self, capsys, suite, k_max):
+        # Before its value is read, so every value is refused the same way.
+        code, out, err = run(capsys, "verify", suite, "--k-max", k_max)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {suite} samples no k; it does not take --k-max\n"
+        # --n-max is checked first, and its message is unchanged.
+        assert run(capsys, "verify", suite, "--n-max", "0", "--k-max", k_max) == (
+            2, "", "error: --n-max must be >= 1, got 0\n"
+        )
+
+    @pytest.mark.parametrize("suite", [
+        "recursions", "divisor-sums", "bounds", "asymptotics", "oracle", "affine", "closed-forms",
+        "kernels",
+    ])
+    def test_a_row_samples_k_iff_its_suite_reads_k(self, capsys, monkeypatch, cold_known, suite):
+        # With both k-restricted counts wrong at k = 2, a suite that samples k
+        # fails, and passes when --k-max 1 keeps it below 2; one that samples
+        # none passes and refuses --k-max.
+        from relprime import checks, counting, setphi
+
+        for module, name in ((counting, "count_relprime_k"), (setphi, "subset_phi_k")):
+            count = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda n, k, count=count: count(n, k) + (k == 2) * 10**6
+            )
+        lowest, _, samples_k, _ = checks.SUITES[suite]
+        code, out, err = run(capsys, "verify", suite, "--n-max", "12")
+        capped = run(capsys, "verify", suite, "--n-max", "12", "--k-max", "1")
+        if samples_k:
+            assert (code, err) == (1, "")
+            assert out.startswith(f"{suite}: FAIL after ") and out.endswith(", k=2\n"), out
+            assert capped == (0, f"{suite}: {13 - lowest} checks passed\n", "")
+        else:
+            assert (code, out.endswith(" checks passed\n"), err) == (0, True, "")
+            assert capped == (
+                2, "", f"error: verify {suite} samples no k; it does not take --k-max\n"
+            )
 
     def test_k_max_of_one_runs(self, capsys):
         code, out, _ = run(capsys, "verify", "recursions", "--n-max", "5", "--k-max", "1")
