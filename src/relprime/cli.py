@@ -155,35 +155,47 @@ def _format_set(elems) -> str:
     return "{" + ",".join(_decimal(e) for e in elems) + "}"
 
 
+def _options(args: argparse.Namespace, name: str, row: dict) -> dict:
+    """The values of the options that row lists for the action called name.
+
+    row maps each option the action takes, beyond the command's shared ones,
+    to (required, lowest, highest) for an integer or to None when the handler
+    reads it.  Any other option given is refused before any value is read.
+    """
+    for opt, value in vars(args).items():
+        shared = opt in ("command", "function", "suite", "action", "format", "handler")
+        if not shared and opt not in row and value is not None and value is not False:
+            raise UsageError(f"{name} does not take --{opt.replace('_', '-')}")
+    options = {}
+    for opt, bounds in row.items():
+        flag, value = "--" + opt.replace("_", "-"), getattr(args, opt)
+        if bounds and value is not None:
+            value = _integer(value, flag, *bounds[1:])
+        elif bounds and bounds[0]:
+            raise UsageError(f"{name} requires {flag}")
+        options[opt] = value
+    return options
+
+
 # ---------------------------------------------------------------- compute
 
-# Per function: the one option it takes besides --n (None, "k" or "d"),
-# and the module and name of its count.  Both are looked up when it runs,
-# so a function patched into the module is the one called.
+# Per function: its row for _options, and the module and name of its
+# count.  Both are looked up when it runs, so a function patched into the
+# module is the one called.  No d above the largest accepted n divides it.
 _COMPUTE = {
-    "f": (None, "counting", "count_relprime"),
-    "fk": ("k", "counting", "count_relprime_k"),
-    "phi": (None, "setphi", "subset_phi"),
-    "phik": ("k", "setphi", "subset_phi_k"),
-    "psi": ("d", "setphi", "subset_psi"),
+    "f": ({"n": None}, "counting", "count_relprime"),
+    "fk": ({"n": None, "k": (True, 1, None)}, "counting", "count_relprime_k"),
+    "phi": ({"n": None}, "setphi", "subset_phi"),
+    "phik": ({"n": None, "k": (True, 1, None)}, "setphi", "subset_phi_k"),
+    "psi": ({"n": None, "d": (True, 1, COMPUTE_MAX_N)}, "setphi", "subset_psi"),
 }
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    option, module, name = _COMPUTE[args.function]
-    for flag in ("k", "d"):
-        given = getattr(args, flag) is not None
-        if given and flag != option:
-            raise UsageError(f"function {args.function} does not take --{flag}")
-        if not given and flag == option:
-            raise UsageError(f"function {args.function} requires --{flag}")
-    extra = {}
-    if option is not None:
-        # No d above the largest accepted n divides it.
-        hi = COMPUTE_MAX_N if option == "d" else None
-        extra[option] = _integer(getattr(args, option), f"--{option}", 1, hi)
-    ns = _parse_n_list(args.n)
-    if option == "d":
+    row, module, name = _COMPUTE[args.function]
+    extra = _options(args, f"compute {args.function}", row)
+    ns = _parse_n_list(extra.pop("n"))
+    if "d" in extra:
         for n in ns:
             if n % extra["d"]:
                 raise UsageError(f"psi requires d | n; {extra['d']} does not divide {n}")
@@ -215,16 +227,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from relprime.checks import SUITES  # only verify compiles the suites
 
     lowest, highest, samples_k, suite = SUITES[args.suite]
-    if args.n_max is None:
-        n_max = min(_DEFAULT_N_MAX, highest)
-    else:
-        n_max = _integer(args.n_max, "--n-max", lowest, highest)
-    if args.k_max is not None and not samples_k:
-        raise UsageError(f"verify {args.suite} samples no k; it does not take --k-max")
-    # Below 1 every k-restricted check would be skipped in silence.
-    k_max = None if args.k_max is None else _integer(args.k_max, "--k-max", 1)
+    row = {"n_max": (False, lowest, highest)}
+    if samples_k:
+        # Below 1 every k-restricted check would be skipped in silence.
+        row["k_max"] = (False, 1, None)
+    options = _options(args, f"verify {args.suite}", row)
+    n_max = options["n_max"] or min(_DEFAULT_N_MAX, highest)
     checks = 0
-    for failure in suite(range(lowest, n_max + 1), k_max):
+    for failure in suite(range(lowest, n_max + 1), options.get("k_max")):
         if failure is not None:
             print(f"{args.suite}: FAIL after {checks} passing checks: {failure}")
             return 1
@@ -238,23 +248,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_affine(args: argparse.Namespace) -> int:
     affine = relprime.affine
     action = args.action
+    row = ({"n": (True, 0, affine.DIST_MAX_N), "k": (False, 1, None), "inequivalent": None}
+           if action == "dist" else {"set": None})
+    options = _options(args, f"affine {action}", row)
     sets = [[_integer(tok, "set element") for tok in text.split(",")]
             for text in args.set or []]
     if action in ("canon", "profile") and len(sets) != 1:
         raise UsageError(f"affine {action} requires exactly one --set")
     if action == "equiv" and len(sets) != 2:
         raise UsageError("affine equiv requires exactly two --set arguments")
-    if action != "dist" and (args.n is not None or args.k is not None):
-        raise UsageError(f"affine {action} takes --set, not --n/--k")
-    if action != "dist" and args.inequivalent:
-        raise UsageError(f"affine {action} does not take --inequivalent")
-    if action == "dist":
-        if sets:
-            raise UsageError("affine dist takes --n/--k flags, not --set")
-        if args.n is None:
-            raise UsageError("affine dist requires --n")
-        n = _integer(args.n, "--n", 0, affine.DIST_MAX_N)
-        k = None if args.k is None else _integer(args.k, "--k", 1)
 
     if action == "canon":
         form = affine.canonical_form(sets[0])
@@ -272,7 +274,7 @@ def _cmd_affine(args: argparse.Namespace) -> int:
             raise UsageError(f"affine {exc}") from None
         print(f"s={profile.sumset_size} d={profile.difference_size}")
     else:
-        dist = affine.sumset_size_distribution(n, k=k, inequivalent_only=args.inequivalent)
+        dist = affine.sumset_size_distribution(*options.values())
         print(" ".join(f"{size}:{count}" for size, count in dist.items()))
     return 0
 
@@ -382,14 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _fold_set_values(argv: list[str]) -> list[str]:
     """Join '--set' with its value so sets starting with '-' parse."""
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--set" and i + 1 < len(argv):
-            out.append(f"--set={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if out and out[-1] == "--set":
+            out[-1] = f"--set={arg}"
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(arg)
     return out
 
 

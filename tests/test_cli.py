@@ -188,15 +188,6 @@ class TestComputeBytes:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            ("fk --n 5", "function fk requires --k"),
-            ("phik --n 5 --d 1", "function phik requires --k"),
-            ("f --n 4 --k 2", "function f does not take --k"),
-            ("f --n 5 --k 0", "function f does not take --k"),
-            ("psi --n 6 --d 0 --k 1", "function psi does not take --k"),
-            ("psi --n 6", "function psi requires --d"),
-            ("phi --n 6 --d 2", "function phi does not take --d"),
-            ("phi --n 6 --d 0", "function phi does not take --d"),
-            ("fk --n 5 --k 0 --d 3", "function fk does not take --d"),
             ("fk --n 5 --k 0", "--k must be >= 1, got 0"),
             ("phik --n 0 --k -1", "--k must be >= 1, got -1"),
             ("psi --n 6 --d 0", "--d must be >= 1, got 0"),
@@ -486,14 +477,11 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["affine", "closed-forms"])
     @pytest.mark.parametrize("k_max", ["3", "0", "-3", "x"])
     def test_a_suite_that_samples_no_k_refuses_k_max(self, capsys, suite, k_max):
-        # Before its value is read, so every value is refused the same way.
-        code, out, err = run(capsys, "verify", suite, "--k-max", k_max)
-        assert (code, out) == (2, "")
-        assert err == f"error: verify {suite} samples no k; it does not take --k-max\n"
-        # --n-max is checked first, and its message is unchanged.
-        assert run(capsys, "verify", suite, "--n-max", "0", "--k-max", k_max) == (
-            2, "", "error: --n-max must be >= 1, got 0\n"
-        )
+        # Before any value is read, so every value is refused the same way,
+        # and so is a bad --n-max given with it.
+        refused = (2, "", f"error: verify {suite} does not take --k-max\n")
+        assert run(capsys, "verify", suite, "--k-max", k_max) == refused
+        assert run(capsys, "verify", suite, "--n-max", "0", "--k-max", k_max) == refused
 
     @pytest.mark.parametrize("suite", [
         "recursions", "divisor-sums", "bounds", "asymptotics", "oracle", "affine", "closed-forms",
@@ -519,9 +507,7 @@ class TestVerify:
             assert capped == (0, f"{suite}: {13 - lowest} checks passed\n", "")
         else:
             assert (code, out.endswith(" checks passed\n"), err) == (0, True, "")
-            assert capped == (
-                2, "", f"error: verify {suite} samples no k; it does not take --k-max\n"
-            )
+            assert capped == (2, "", f"error: verify {suite} does not take --k-max\n")
 
     def test_k_max_of_one_runs(self, capsys):
         code, out, _ = run(capsys, "verify", "recursions", "--n-max", "5", "--k-max", "1")
@@ -960,22 +946,100 @@ class TestIntegerArguments:
         assert run(capsys, "compute", *argv) == (0, f"{value}\n", "")
 
     def test_dist_options_belong_to_dist(self, capsys):
-        for flag in ("--n", "--k"):
-            assert run(capsys, "affine", "canon", "--set", "1,2", flag, "3") == (
-                2, "", "error: affine canon takes --set, not --n/--k\n"
-            )
-        for action, sets in (("canon", ["1,2"]), ("equiv", ["1,2", "3,4"]), ("profile", ["1,2"])):
-            argv = [arg for s in sets for arg in ("--set", s)]
-            assert run(capsys, "affine", action, *argv, "--inequivalent") == (
-                2, "", f"error: affine {action} does not take --inequivalent\n"
-            )
-        # The earlier checks keep their messages.
+        # TestOptionRows refuses each one alone.  Here they are refused before
+        # the --set count is checked, and the parser's first one is named.
         assert run(capsys, "affine", "canon", "--inequivalent") == (
-            2, "", "error: affine canon requires exactly one --set\n"
+            2, "", "error: affine canon does not take --inequivalent\n"
         )
-        assert run(capsys, "affine", "canon", "--set", "1,2", "--n", "3", "--inequivalent") == (
-            2, "", "error: affine canon takes --set, not --n/--k\n"
+        assert run(capsys, "affine", "canon", "--set", "1,2", "--k", "3", "--n", "3") == (
+            2, "", "error: affine canon does not take --n\n"
         )
+
+
+# What each action takes besides what every action of its command takes
+# (compute's --format), and which of those it requires.  verify's rows
+# follow from relprime.checks.SUITES.
+_TAKES = {
+    ("compute", "f"): ({"--n"}, set()),
+    ("compute", "fk"): ({"--n", "--k"}, {"--k"}),
+    ("compute", "phi"): ({"--n"}, set()),
+    ("compute", "phik"): ({"--n", "--k"}, {"--k"}),
+    ("compute", "psi"): ({"--n", "--d"}, {"--d"}),
+    ("affine", "canon"): ({"--set"}, set()),
+    ("affine", "dist"): ({"--n", "--k", "--inequivalent"}, {"--n"}),
+    ("affine", "equiv"): ({"--set"}, set()),
+    ("affine", "profile"): ({"--set"}, set()),
+}
+
+
+def _rows():
+    from relprime.checks import SUITES
+
+    rows = dict(_TAKES)
+    for suite, (_, _, samples_k, _) in SUITES.items():
+        rows["verify", suite] = ({"--n-max", "--k-max"} if samples_k else {"--n-max"}, set())
+    return rows
+
+
+def _parser_options(command):
+    """The parser's action of each option of command that an action may refuse.
+
+    --help and compute's --format are taken by every action of their command.
+    """
+    parser = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    return {action.option_strings[0]: action for action in parser._actions
+            if action.option_strings and action.dest not in ("help", "format")}
+
+
+def _walk():
+    """Each option of each action, given with every option the action takes.
+
+    Each option that has a value gets "x", which no parse accepts, so a
+    refusal must come before any value is read.
+    """
+    for (command, action), (takes, _) in sorted(_rows().items()):
+        options = _parser_options(command)
+        given = {option: ["x"] if options[option].nargs != 0 else [] for option in options}
+        for option in options:
+            argv = [arg for other in sorted(takes | {option}) for arg in (other, *given[other])]
+            yield pytest.param(command, action, option, option in takes, argv,
+                               id=f"{command} {action} {option}")
+
+
+class TestOptionRows:
+    """One loop refuses, requires and reads the options of every action."""
+
+    @pytest.mark.parametrize("command,action,option,taken,argv", list(_walk()))
+    def test_each_option(self, capsys, command, action, option, taken, argv):
+        code, out, err = run(capsys, command, action, *argv)
+        assert (code, out) == (2, "")
+        if taken:
+            assert " does not take " not in err
+        else:
+            assert err == f"error: {command} {action} does not take {option}\n"
+            assert len(err.encode()) < 100
+
+    @pytest.mark.parametrize("command,action,option", [
+        (command, action, option)
+        for (command, action), (_, required) in sorted(_rows().items())
+        for option in sorted(required)
+    ])
+    def test_a_required_option_left_out(self, capsys, command, action, option):
+        base = ["--n", "x"] if command == "compute" else []
+        assert run(capsys, command, action, *base) == (
+            2, "", f"error: {command} {action} requires {option}\n"
+        )
+
+    @pytest.mark.parametrize("command,option", [
+        ("compute", "--k"), ("compute", "--d"),
+        ("affine", "--n"), ("affine", "--k"), ("affine", "--inequivalent"),
+    ])
+    def test_help_names_the_actions_that_take_an_option(self, command, option):
+        words = set(re.findall(r"[a-z]+", _parser_options(command)[option].help))
+        actions = {action for (c, action) in _TAKES if c == command}
+        assert words & actions == {
+            action for (c, action), (takes, _) in _TAKES.items() if c == command and option in takes
+        }
 
 
 class TestTopLevel:
