@@ -10,8 +10,6 @@ representative, the lexicographically smaller of the two forms.
 Sumset and difference-set cardinalities are affine invariants.
 """
 
-from __future__ import annotations
-
 from math import gcd
 from typing import Iterable, NamedTuple
 

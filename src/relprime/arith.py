@@ -19,8 +19,6 @@ g(q) = C(q, k) for a size k >= 0, or 2^q - 1 for every size, k = None:
                             pairs, weight mu(d), from trial factoring n.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 from itertools import accumulate

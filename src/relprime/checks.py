@@ -10,8 +10,6 @@ says whether its suite samples k; verify refuses --k-max for one that
 does not.  Only the verify command imports this module.
 """
 
-from __future__ import annotations
-
 import relprime
 
 VERIFY_MAX_N = 10_000

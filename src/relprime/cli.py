@@ -9,9 +9,6 @@ surfaces as one.  When the reader of stdout closes it early, the run
 ends quietly with 141, the status a shell shows for SIGPIPE.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 import time
@@ -155,51 +152,31 @@ def _format_set(elems) -> str:
     return "{" + ",".join(_decimal(e) for e in elems) + "}"
 
 
-def _options(args: argparse.Namespace, name: str, row: dict) -> dict:
-    """The values of the options that row lists for the action called name.
-
-    row maps each option the action takes, beyond the command's shared ones,
-    to (required, lowest, highest) for an integer or to None when the handler
-    reads it.  Any other option given is refused before any value is read.
-    """
-    for opt, value in vars(args).items():
-        shared = opt in ("command", "function", "suite", "action", "format", "handler")
-        if not shared and opt not in row and value is not None and value is not False:
-            raise UsageError(f"{name} does not take --{opt.replace('_', '-')}")
-    options = {}
-    for opt, bounds in row.items():
-        flag, value = "--" + opt.replace("_", "-"), getattr(args, opt)
-        if bounds and value is not None:
-            value = _integer(value, flag, *bounds[1:])
-        elif bounds and bounds[0]:
-            raise UsageError(f"{name} requires {flag}")
-        options[opt] = value
-    return options
-
-
 # ---------------------------------------------------------------- compute
 
-# Per function: its row for _options, and the module and name of its
-# count.  Both are looked up when it runs, so a function patched into the
-# module is the one called.  No d above the largest accepted n divides it.
+# Per function: its row beyond the --n and --format that every function
+# takes, and the module and name of its count, looked up when it runs, so a
+# patched function is the one called.  No d above the largest n divides it.
 _COMPUTE = {
-    "f": ({"n": None}, "counting", "count_relprime"),
-    "fk": ({"n": None, "k": (True, 1, None)}, "counting", "count_relprime_k"),
-    "phi": ({"n": None}, "setphi", "subset_phi"),
-    "phik": ({"n": None, "k": (True, 1, None)}, "setphi", "subset_phi_k"),
-    "psi": ({"n": None, "d": (True, 1, COMPUTE_MAX_N)}, "setphi", "subset_psi"),
+    "f": ({}, "counting", "count_relprime"),
+    "fk": ({"k": (True, 1, None)}, "counting", "count_relprime_k"),
+    "phi": ({}, "setphi", "subset_phi"),
+    "phik": ({"k": (True, 1, None)}, "setphi", "subset_phi_k"),
+    "psi": ({"d": (True, 1, COMPUTE_MAX_N)}, "setphi", "subset_psi"),
 }
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
-    row, module, name = _COMPUTE[args.function]
-    extra = _options(args, f"compute {args.function}", row)
+def _cmd_compute(function: str, extra: dict) -> int:
+    _, module, name = _COMPUTE[function]
+    style = extra.pop("format")
+    if style not in (None, "plain", "json", "bfile"):
+        raise UsageError(f"--format must be plain, json or bfile, got {_cut(style)!r}")
     ns = _parse_n_list(extra.pop("n"))
     if "d" in extra:
         for n in ns:
             if n % extra["d"]:
                 raise UsageError(f"psi requires d | n; {extra['d']} does not divide {n}")
-    if args.format == "json":
+    if style == "json":
         import json
 
     # Each value is written as soon as it is computed, so a reader that
@@ -210,49 +187,38 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         value = count(n, *extra.values())
         elapsed = time.perf_counter() - start
         text = _decimal(value)
-        if args.format == "plain":
-            print(text, end=" " if i < len(ns) else "\n")
-        elif args.format == "json":
+        if style == "json":
             record = {"n": n, **extra, "value": text, "method": "formula",
                       "elapsed_ms": elapsed * 1000.0}
             print(json.dumps(record))
-        else:  # bfile
+        elif style == "bfile":
             print(f"{n} {text}")
+        else:  # plain, the default
+            print(text, end=" " if i < len(ns) else "\n")
     return 0
 
 
 # ----------------------------------------------------------------- verify
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from relprime.checks import SUITES  # only verify compiles the suites
-
-    lowest, highest, samples_k, suite = SUITES[args.suite]
-    row = {"n_max": (False, lowest, highest)}
-    if samples_k:
-        # Below 1 every k-restricted check would be skipped in silence.
-        row["k_max"] = (False, 1, None)
-    options = _options(args, f"verify {args.suite}", row)
-    n_max = options["n_max"] or min(_DEFAULT_N_MAX, highest)
+def _cmd_verify(name: str, options: dict) -> int:
+    lowest, highest, _, suite = relprime.checks.SUITES[name]
+    n_max = options["n-max"] or min(_DEFAULT_N_MAX, highest)
     checks = 0
-    for failure in suite(range(lowest, n_max + 1), options.get("k_max")):
+    for failure in suite(range(lowest, n_max + 1), options.get("k-max")):
         if failure is not None:
-            print(f"{args.suite}: FAIL after {checks} passing checks: {failure}")
+            print(f"{name}: FAIL after {checks} passing checks: {failure}")
             return 1
         checks += 1
-    print(f"{args.suite}: {checks} checks passed")
+    print(f"{name}: {checks} checks passed")
     return 0
 
 
 # ----------------------------------------------------------------- affine
 
-def _cmd_affine(args: argparse.Namespace) -> int:
+def _cmd_affine(action: str, options: dict) -> int:
     affine = relprime.affine
-    action = args.action
-    row = ({"n": (True, 0, affine.DIST_MAX_N), "k": (False, 1, None), "inequivalent": None}
-           if action == "dist" else {"set": None})
-    options = _options(args, f"affine {action}", row)
     sets = [[_integer(tok, "set element") for tok in text.split(",")]
-            for text in args.set or []]
+            for text in options.get("set", ())]
     if action in ("canon", "profile") and len(sets) != 1:
         raise UsageError(f"affine {action} requires exactly one --set")
     if action == "equiv" and len(sets) != 2:
@@ -281,10 +247,10 @@ def _cmd_affine(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ bench
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(_: str, options: dict) -> int:
     arith, counting, oracle = relprime.arith, relprime.counting, relprime.oracle
-    ns = _parse_n_list(args.n)
-    reps = _integer(args.reps, "--reps", 1, BENCH_MAX_REPS)
+    ns = _parse_n_list(options["n"])
+    reps = options["reps"] or 3
     for n in ns:
         if n > oracle.ORACLE_MAX:
             raise UsageError(f"bench n={n} exceeds the enumeration guard of {oracle.ORACLE_MAX}")
@@ -320,89 +286,122 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ wiring
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="relprime",
-        description=(
-            "Exact counts of relatively prime subsets of {1..n}, the subset "
-            "phi functions, and affine canonicalization of integer sets."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser("compute", help="evaluate a counting function")
-    p_compute.add_argument(
-        "function", choices=sorted(_COMPUTE), help="counting function to evaluate"
-    )
-    p_compute.add_argument("--n", required=True, help="n value, range a..b, or comma list")
-    p_compute.add_argument("--k", help="cardinality (fk/phik only)")
-    p_compute.add_argument("--d", help="divisor of n (psi only)")
-    p_compute.add_argument(
-        "--format",
-        choices=("plain", "json", "bfile"),
-        default="plain",
-        help="plain values, JSON lines, or OEIS b-file lines",
-    )
-    p_compute.set_defaults(handler=_cmd_compute)
-
-    p_verify = sub.add_parser("verify", help="run an identity/cross-check suite")
-    # The rows of relprime.checks.SUITES, which only verify imports.
-    p_verify.add_argument("suite", choices=(
-        "affine", "asymptotics", "bounds", "closed-forms", "divisor-sums", "kernels",
-        "oracle", "recursions",
-    ))
-    p_verify.add_argument(
-        "--n-max",
-        help="upper end of the check range (trial count for the affine suite); "
-        "default 1000, or the suite's cap if lower",
-    )
-    p_verify.add_argument("--k-max", help="cap on sampled k; affine and closed-forms refuse it")
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_affine = sub.add_parser("affine", help="canonical forms and invariants")
-    p_affine.add_argument("action", choices=("canon", "dist", "equiv", "profile"))
-    p_affine.add_argument(
-        "--set", action="append", help="comma-separated integers; repeatable"
-    )
-    p_affine.add_argument("--n", help="interval end for dist")
-    p_affine.add_argument("--k", help="cardinality restriction for dist")
-    p_affine.add_argument(
-        "--inequivalent",
-        action="store_true",
-        help="count each affine class once in dist",
-    )
-    p_affine.set_defaults(handler=_cmd_affine)
-
-    p_bench = sub.add_parser("bench", help="time the formula against enumeration")
-    p_bench.add_argument("--n", required=True, help="n value, range a..b, or comma list")
-    p_bench.add_argument("--reps", default="3", help="timing repetitions")
-    p_bench.set_defaults(handler=_cmd_bench)
-
-    return parser
+# Per command: what it does, its handler, and what --help says of each option.
+_COMMANDS = {
+    "compute": ("evaluate a counting function", _cmd_compute, {
+        "n": "n value, range a..b, or comma list", "k": "cardinality", "d": "divisor of n",
+        "format": "plain (the default), json lines, or bfile (OEIS b-file lines)"}),
+    "verify": ("run an identity/cross-check suite", _cmd_verify, {
+        "n-max": "upper end of the check range (trial count for the affine suite); "
+                 "default 1000, or the suite's cap if lower",
+        "k-max": "cap on sampled k"}),
+    "affine": ("canonical forms and invariants", _cmd_affine, {
+        "set": "comma-separated integers; repeatable", "n": "interval end",
+        "k": "cardinality restriction", "inequivalent": "count each affine class once"}),
+    "bench": ("time the formula against enumeration", _cmd_bench, {
+        "n": "n value, range a..b, or comma list", "reps": "timing repetitions, 3 if not given"}),
+}
 
 
-def _fold_set_values(argv: list[str]) -> list[str]:
-    """Join '--set' with its value so sets starting with '-' parse."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] == "--set":
-            out[-1] = f"--set={arg}"
-        else:
-            out.append(arg)
-    return out
+def _rows(command: str) -> dict:
+    """Each action of command and its row; bench has one row, and no action.
+
+    A row maps each option that the action takes to (required, lowest,
+    highest) for an integer that _integer reads, (required, "text") for text
+    that the handler reads, (False, "texts") for text read as the list of
+    every value given, or (False, "flag") for an option that takes no value.
+    """
+    if command == "compute":
+        return {function: {"n": (True, "text"), **row, "format": (False, "text")}
+                for function, (row, _, _) in _COMPUTE.items()}
+    if command == "verify":  # only verify compiles the suites
+        # Below 1 every k-restricted check would be skipped in silence.
+        k_max = {"k-max": (False, 1, None)}
+        return {name: {"n-max": (False, lowest, highest), **(k_max if samples_k else {})}
+                for name, (lowest, highest, samples_k, _) in relprime.checks.SUITES.items()}
+    if command == "affine":
+        sets = {"set": (False, "texts")}
+        return {"canon": sets, "equiv": sets, "profile": sets, "dist": {
+            "n": (True, 0, relprime.affine.DIST_MAX_N), "k": (False, 1, None),
+            "inequivalent": (False, "flag")}}
+    return {"": {"n": (True, "text"), "reps": (False, 1, BENCH_MAX_REPS)}}
+
+
+def _parse(argv: list[str]) -> tuple[str, str, dict]:
+    """The command, the action and the options that argv asks for.
+
+    Options are `--opt value` (whatever value starts with; none at the end
+    reads as "") or `--opt=value`.  Refused in turn: a token no row lists;
+    the first given option, in row order, that the action's row does not
+    list; in row order, a required option left out or a bad integer.
+    """
+    command, *argv = argv or [""]
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {_cut(command)!r}" if command else "no command given")
+    rows = _rows(command)
+    action = argv.pop(0) if argv and "" not in rows else ""
+    if action not in rows:
+        raise UsageError(f"unknown {command} action {_cut(action)!r}" if action
+                         else f"no {command} action given")
+    name = f"{command} {action}".strip()
+    kinds = {opt: kind for row in rows.values() for opt, kind in row.items()}
+    given: dict[str, list] = {}
+    tokens = iter(argv)
+    for token in tokens:
+        opt, eq, value = token[2:].partition("=")
+        flag = kinds.get(opt) == (False, "flag")
+        if token[:2] != "--" or opt not in kinds or eq and flag:
+            raise UsageError(f"{name} does not take {_cut(token)!r}")
+        if not eq and not flag:
+            value = next(tokens, "")
+        given.setdefault(opt, []).append(value)
+    for opt in kinds:
+        if opt in given and opt not in rows[action]:
+            raise UsageError(f"{name} does not take --{opt}")
+    options = {}
+    for opt, (required, *how) in rows[action].items():
+        values = given.get(opt, [])
+        if required and not values:
+            raise UsageError(f"{name} requires --{opt}")
+        value = values[-1] if values else None
+        if how == ["flag"]:
+            value = bool(values)
+        elif how == ["texts"]:
+            value = values
+        elif value is not None and how != ["text"]:
+            value = _integer(value, f"--{opt}", *how)
+        options[opt] = value
+    return command, action, options
+
+
+def _help(command: str) -> str:
+    """The commands, or the usage of command and its options, read from its rows."""
+    if command not in _COMMANDS:
+        return "\n".join(["usage: relprime <command> [<action>] [--option value]...", *(
+            f"  {name:<9}{summary}; see relprime {name} --help"
+            for name, (summary, _, _) in _COMMANDS.items())])
+    summary, _, texts = _COMMANDS[command]
+    rows = _rows(command)
+    lines = [f"usage: relprime {command} {'|'.join(rows)} [--option value]...".replace("  ", " "),
+             summary]
+    for opt, text in texts.items():
+        for word, required in (("required", True), ("optional", False)):
+            actions = [action for action, row in rows.items()
+                       if opt in row and row[opt][0] is required]
+            if actions:
+                text += f"; {word}" + (f" for {', '.join(actions)}" if any(actions) else "")
+        lines.append(f"  --{opt:<{max(map(len, texts)) + 2}}{text}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_help(argv[0]))
+        return 0
     try:
-        args = parser.parse_args(_fold_set_values(list(argv)))
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        return args.handler(args)
+        command, action, options = _parse(argv)
+        return _COMMANDS[command][1](action, options)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

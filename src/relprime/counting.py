@@ -23,8 +23,6 @@ d <= [n/(s+1)] one at a time, d descending.  So q ascends, and the
 running total is no longer than the terms added so far.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 

@@ -17,8 +17,6 @@ Memory stays near 2^ceil(n/2) bytes; the hard ceiling ORACLE_MAX keeps
 a mistyped argument from launching an hours-long run.
 """
 
-from __future__ import annotations
-
 from math import gcd
 from typing import NamedTuple
 

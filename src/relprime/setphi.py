@@ -23,8 +23,6 @@ divisors through one memo; the counts keep no values.  subset_psi(n, d)
 counts subsets by the gcd they share with n and reduces to subset_phi(n/d).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import NamedTuple
 

@@ -70,5 +70,15 @@ def test_refusal_pins_hold(shim):
     assert sum(line.startswith("refused() ") for line in lines) == 2
     assert "refused compute f --n 4 --k 2" in lines
     assert "refused affine dist --n 5 --set 1" in lines
+    assert "refused" in lines and "refused bench --n 5 --k 2" in lines
     result = _run(CI_SHELL, lines, shim)
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
+def test_help_pins_hold(shim):
+    (line,) = [line for script in _steps().values() for line in script
+               if "--help" in line and not line.startswith("#")]
+    result = _run(CI_SHELL, [line], shim)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    help_out = Path(shim["RUNNER_TEMP"]) / "help.out"
+    assert help_out.read_text().startswith("usage: relprime verify ")

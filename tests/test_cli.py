@@ -432,17 +432,18 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         assert run(capsys, "verify", "everything")[0] == 2
 
-    def test_parser_lists_the_rows_of_the_table(self):
+    def test_parser_lists_the_rows_of_the_table(self, capsys):
         from relprime.checks import SUITES
 
-        verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
-        (suite,) = [action for action in verify._actions if action.dest == "suite"]
-        assert list(suite.choices) == sorted(SUITES)
-        # The --k-max help names the rows that sample no k, and only those.
-        (k_max,) = [action for action in verify._actions if action.dest == "k_max"]
-        assert {name for name in SUITES if name in k_max.help} == {
-            name for name, row in SUITES.items() if not row[2]
-        }
+        code, out, err = run(capsys, "verify", "--help")
+        assert (code, err) == (0, "")
+        usage, _, n_max, k_max = out.splitlines()
+        assert usage == f"usage: relprime verify {'|'.join(SUITES)} [--option value]..."
+        assert n_max.endswith("; optional for " + ", ".join(SUITES))
+        # The --k-max help names the rows that sample k, and only those.
+        assert k_max.endswith(
+            "; optional for " + ", ".join(name for name, row in SUITES.items() if row[2])
+        )
 
     def test_the_oracle_cap_is_the_enumeration_guard(self):
         from relprime import checks, oracle
@@ -981,14 +982,13 @@ def _rows():
     return rows
 
 
-def _parser_options(command):
-    """The parser's action of each option of command that an action may refuse.
+def _command_options(command):
+    """How the rows of command read each option that an action may refuse.
 
-    --help and compute's --format are taken by every action of their command.
+    compute's --format is taken by every action of its command.
     """
-    parser = cli.build_parser()._subparsers._group_actions[0].choices[command]
-    return {action.option_strings[0]: action for action in parser._actions
-            if action.option_strings and action.dest not in ("help", "format")}
+    return {f"--{option}": kind for row in cli._rows(command).values()
+            for option, kind in row.items() if option != "format"}
 
 
 def _walk():
@@ -998,8 +998,8 @@ def _walk():
     refusal must come before any value is read.
     """
     for (command, action), (takes, _) in sorted(_rows().items()):
-        options = _parser_options(command)
-        given = {option: ["x"] if options[option].nargs != 0 else [] for option in options}
+        options = _command_options(command)
+        given = {option: [] if options[option] == (False, "flag") else ["x"] for option in options}
         for option in options:
             argv = [arg for other in sorted(takes | {option}) for arg in (other, *given[other])]
             yield pytest.param(command, action, option, option in takes, argv,
@@ -1034,18 +1034,110 @@ class TestOptionRows:
         ("compute", "--k"), ("compute", "--d"),
         ("affine", "--n"), ("affine", "--k"), ("affine", "--inequivalent"),
     ])
-    def test_help_names_the_actions_that_take_an_option(self, command, option):
-        words = set(re.findall(r"[a-z]+", _parser_options(command)[option].help))
+    def test_help_names_the_actions_that_take_an_option(self, capsys, command, option):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        (line,) = [line for line in out.splitlines() if line.startswith(f"  {option} ")]
+        required = line.partition("; required for ")[2]
         actions = {action for (c, action) in _TAKES if c == command}
-        assert words & actions == {
+        assert set(re.findall(r"[a-z]+", line)) & actions == {
             action for (c, action), (takes, _) in _TAKES.items() if c == command and option in takes
+        }
+        assert set(re.findall(r"[a-z]+", required)) & actions == {
+            action for (c, action), (_, needs) in _TAKES.items() if c == command and option in needs
         }
 
 
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
-        assert main([]) == 2
-        capsys.readouterr()  # swallow the usage text
+        assert run(capsys) == (2, "", "error: no command given\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("frobnicate", "unknown command 'frobnicate'"),
+            ("compute", "no compute action given"),
+            ("compute x --n 5", "unknown compute action 'x'"),
+            ("compute --n 5 f", "unknown compute action '--n'"),
+            ("verify everything", "unknown verify action 'everything'"),
+            ("compute f", "compute f requires --n"),
+            ("compute f --k 2", "compute f does not take --k"),
+            ("compute f --n", "n must be an integer, got ''"),
+            ("compute phi --n=", "n must be an integer, got ''"),
+            ("compute f --n 5 7", "compute f does not take '7'"),
+            ("compute f --n 5 -x", "compute f does not take '-x'"),
+            ("compute f --n 5 --n-max 7", "compute f does not take '--n-max'"),
+            ("compute f --n 5 --format", "--format must be plain, json or bfile, got ''"),
+            ("compute f --n 5 --format xml", "--format must be plain, json or bfile, got 'xml'"),
+            ("verify recursions --n-m 5", "verify recursions does not take '--n-m'"),
+            ("verify recursions --n 5", "verify recursions does not take '--n'"),
+            ("verify recursions --k-max", "--k-max must be an integer, got ''"),
+            ("affine dist --n 5 --inequivalent=1", "affine dist does not take '--inequivalent=1'"),
+            ("affine canon --set", "set element must be an integer, got ''"),
+            ("bench", "bench requires --n"),
+            ("bench --n 5 --k 2", "bench does not take '--k'"),
+            ("bench --n 5 --reps", "--reps must be an integer, got ''"),
+            ("bench --n 0 --reps 0", "--reps must be >= 1, got 0"),  # the row before the handler
+        ],
+    )
+    def test_a_bad_command_line_is_one_short_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err.encode()) < 100
+
+    def test_a_bad_word_is_quoted_cut_short(self, capsys):
+        assert run(capsys, "compute", "f", "--n", "5", "x\n" * 50) == (
+            2, "", "error: compute f does not take 'x\\nx\\nx\\nx\\nx\\nx\\nx\\nx\\nx\\nx\\n...'\n"
+        )
+        code, out, err = run(capsys, "y" * 5000)
+        assert (code, out, err) == (2, "", "error: unknown command 'yyyyyyyyyyyyyyyyyyyy...'\n")
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            ("compute f --n=1..5", "1 2 5 11 26\n"),
+            ("compute fk --k=2 --n 4", "5\n"),
+            ("compute f --n 4 --n 5", "26\n"),  # the last value given counts
+            ("compute f --n 3 --format json --format plain", "5\n"),
+            ("affine equiv --set -4,10,17,38 --set=2,8,11,20", "true\n"),
+            ("affine dist --inequivalent --n 1 --inequivalent", "1:1 3:1\n"),
+            ("verify recursions --n-max=5 --k-max=1", "recursions: 5 checks passed\n"),
+            ("bench --reps=1 --n 8", "n=8 "),
+        ],
+    )
+    def test_option_spellings(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out[:len(expected)], err) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", [
+        "--help", "-h", "frobnicate --help", "compute --help", "compute -h", "compute f -h",
+        "compute f --n 5 --help", "verify --help", "verify oracle --n-max 0 -h", "affine --help",
+        "bench --help", "bench --n 99 --help", "affine canon --set -h",
+    ])
+    def test_help(self, capsys, argv):
+        # Anywhere on the line, even as an option's value, before any other word is read.
+        command = argv.split()[0]
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        if command in ("compute", "verify", "affine", "bench"):
+            assert out.startswith(f"usage: relprime {command} ")
+        else:
+            assert out == run(capsys, "--help")[1]
+            assert [line.split()[0] for line in out.splitlines()[1:]] == [
+                "compute", "verify", "affine", "bench"
+            ]
+
+    def test_help_lines_come_from_the_rows(self, capsys):
+        # Every option of a command has one help line, and only those.
+        for command in ("compute", "verify", "affine", "bench"):
+            lines = run(capsys, command, "--help")[1].splitlines()[2:]
+            options = [line.split()[0] for line in lines]
+            rows = cli._rows(command).values()
+            assert sorted(options) == sorted({f"--{option}" for row in rows for option in row})
+        assert run(capsys, "bench", "--help")[1].splitlines()[2:] == [
+            "  --n     n value, range a..b, or comma list; required",
+            "  --reps  timing repetitions, 3 if not given; optional",
+        ]
 
     def test_module_invocation(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

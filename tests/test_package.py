@@ -129,6 +129,20 @@ class TestImportFootprint:
     def test_bench_loads_no_suites(self):
         assert "relprime.checks" not in modules_after_main("bench", "--n", "5", "--reps", "1")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "f", "--n", "5"),
+            ("verify", "recursions", "--n-max", "50"),
+            ("affine", "dist", "--n", "5"),
+            ("bench", "--n", "5", "--reps", "1"),
+        ],
+    )
+    def test_the_command_line_is_read_without_argparse(self, argv):
+        # The rows are the parser; these three cost a few ms of every start-up.
+        modules = modules_after_main(*argv)
+        assert [m for m in ("argparse", "gettext", "__future__") if m in modules] == []
+
     def test_bare_import_loads_no_submodule(self):
         _, modules = fresh_run("import relprime")
         assert "relprime" in modules
