@@ -40,7 +40,12 @@ class UsageError(Exception):
 
 
 def _cut(text: str) -> str:
-    return text if len(text) <= 20 else text[:20] + "..."
+    """ascii() of text, or of its first 20 characters and "...", or fewer if
+    their escapes take more than the 40 that 20 ASCII characters can."""
+    cut = text[:20]
+    while len(ascii(cut)) > 42:
+        cut = cut[:-1]
+    return ascii(cut if cut == text else cut + "...")
 
 
 def _integer(text: str, what: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -48,7 +53,7 @@ def _integer(text: str, what: str, lo: int | None = None, hi: int | None = None)
 
     Every integer argument goes through here.  Bad text is never echoed
     whole: a run of digits too long for int() is named by its length,
-    anything else is quoted cut to 20 characters.
+    anything else is quoted cut short by _cut.
     """
     try:
         value = int(text)
@@ -58,34 +63,32 @@ def _integer(text: str, what: str, lo: int | None = None, hi: int | None = None)
         if digits.isdecimal():  # int() refuses such a run only for its length
             raise UsageError(f"{what} has {len(digits)} digits, more than "
                              "the int-string limit allows") from None
-        raise UsageError(f"{what} must be an integer, got {_cut(text)!r}") from None
+        raise UsageError(f"{what} must be an integer, got {_cut(text)}") from None
     if lo is not None and value < lo:
-        raise UsageError(f"{what} must be >= {lo}, got {_cut(str(value))}")
+        raise UsageError(f"{what} must be >= {lo}, got {_cut(str(value))[1:-1]}")
     if hi is not None and value > hi:
-        raise UsageError(f"{what} must be <= {hi}, got {_cut(str(value))}")
+        raise UsageError(f"{what} must be <= {hi}, got {_cut(str(value))[1:-1]}")
     return value
 
 
-def _parse_range(text: str) -> range:
-    """A single n or an inclusive range 'a..b', each end in 1..COMPUTE_MAX_N."""
-    if ".." in text:
-        first, _, last = text.partition("..")
-        lo = _integer(first, "range start", 1, COMPUTE_MAX_N)
-        hi = _integer(last, "range end", 1, COMPUTE_MAX_N)
-        if lo > hi:
-            raise UsageError(f"empty range {_cut(text)!r}")
-        return range(lo, hi + 1)
-    n = _integer(text, "n", 1, COMPUTE_MAX_N)
-    return range(n, n + 1)
-
-
-def _parse_n_list(text: str) -> list[int]:
-    """Comma-separated n values, each a single value or an a..b range.
+def _parse_n_list(text: str, highest: int) -> list[int]:
+    """Comma-separated n values, each a single n or an inclusive range a..b,
+    every n in 1..highest.
 
     Their sum is checked against COMPUTE_MAX_TOTAL_N before any list is
     built.
     """
-    ranges = [_parse_range(part) for part in text.split(",")]
+    ranges = []
+    for part in text.split(","):
+        if ".." in part:
+            first, _, last = part.partition("..")
+            lo = _integer(first, "range start", 1, highest)
+            hi = _integer(last, "range end", 1, highest)
+            if lo > hi:
+                raise UsageError(f"empty range {_cut(part)}")
+        else:
+            lo = hi = _integer(part, "n", 1, highest)
+        ranges.append(range(lo, hi + 1))
     total = sum((r.start + r.stop - 1) * len(r) // 2 for r in ranges)
     if total > COMPUTE_MAX_TOTAL_N:
         raise UsageError(f"the requested n must sum to <= {COMPUTE_MAX_TOTAL_N}, got {total}")
@@ -169,9 +172,7 @@ _COMPUTE = {
 def _cmd_compute(function: str, extra: dict) -> int:
     _, module, name = _COMPUTE[function]
     style = extra.pop("format")
-    if style not in (None, "plain", "json", "bfile"):
-        raise UsageError(f"--format must be plain, json or bfile, got {_cut(style)!r}")
-    ns = _parse_n_list(extra.pop("n"))
+    ns = extra.pop("n")
     if "d" in extra:
         for n in ns:
             if n % extra["d"]:
@@ -201,7 +202,8 @@ def _cmd_compute(function: str, extra: dict) -> int:
 # ----------------------------------------------------------------- verify
 
 def _cmd_verify(name: str, options: dict) -> int:
-    lowest, highest, _, suite = relprime.checks.SUITES[name]
+    row, suite = relprime.checks.SUITES[name]
+    _, lowest, highest = row["n-max"]
     n_max = options["n-max"] or min(_DEFAULT_N_MAX, highest)
     checks = 0
     for failure in suite(range(lowest, n_max + 1), options.get("k-max")):
@@ -217,25 +219,18 @@ def _cmd_verify(name: str, options: dict) -> int:
 
 def _cmd_affine(action: str, options: dict) -> int:
     affine = relprime.affine
-    sets = [[_integer(tok, "set element") for tok in text.split(",")]
-            for text in options.get("set", ())]
-    if action in ("canon", "profile") and len(sets) != 1:
-        raise UsageError(f"affine {action} requires exactly one --set")
-    if action == "equiv" and len(sets) != 2:
-        raise UsageError("affine equiv requires exactly two --set arguments")
-
     if action == "canon":
-        form = affine.canonical_form(sets[0])
+        form = affine.canonical_form(*options["set"])
         print(
             f"C={_format_set(form.base)} D={_format_set(form.mirror)} "
             f"representative={_format_set(form.representative)}"
         )
     elif action == "equiv":
-        verdict = affine.affinely_equivalent(sets[0], sets[1])
+        verdict = affine.affinely_equivalent(*options["set"])
         print("true" if verdict else "false")
     elif action == "profile":
         try:
-            profile = affine.invariant_profile(sets[0])
+            profile = affine.invariant_profile(*options["set"])
         except ValueError as exc:  # a set past affine.PROFILE_MAX_ELEMENTS
             raise UsageError(f"affine {exc}") from None
         print(f"s={profile.sumset_size} d={profile.difference_size}")
@@ -249,11 +244,8 @@ def _cmd_affine(action: str, options: dict) -> int:
 
 def _cmd_bench(_: str, options: dict) -> int:
     arith, counting, oracle = relprime.arith, relprime.counting, relprime.oracle
-    ns = _parse_n_list(options["n"])
+    ns = options["n"]
     reps = options["reps"] or 3
-    for n in ns:
-        if n > oracle.ORACLE_MAX:
-            raise UsageError(f"bench n={n} exceeds the enumeration guard of {oracle.ORACLE_MAX}")
     top = -(-oracle.ORACLE_MAX // 2)
     if reps * sum(1 << max(-(-n // 2), top - 4) for n in ns) > BENCH_MAX_REPS << top:
         raise UsageError(f"--reps times the sum of 2^max(ceil(n/2), {top - 4}) must be "
@@ -306,69 +298,74 @@ _COMMANDS = {
 def _rows(command: str) -> dict:
     """Each action of command and its row; bench has one row, and no action.
 
-    A row maps each option that the action takes to (required, lowest,
-    highest) for an integer that _integer reads, (required, "text") for text
-    that the handler reads, (False, "texts") for text read as the list of
-    every value given, or (False, "flag") for an option that takes no value.
+    A row maps each option that the action takes, in the order it is read,
+    to (required, lowest, highest) for an integer, (True, "n", highest) for
+    an n list, (False, choices) for one of the words choices, (False,
+    "sets", count) for count comma lists of integers, or (False, "flag")
+    for an option that takes no value.  Caps are read as the rows are built.
     """
     if command == "compute":
-        return {function: {"n": (True, "text"), **row, "format": (False, "text")}
+        return {function: {**row, "format": (False, ("plain", "json", "bfile")),
+                           "n": (True, "n", COMPUTE_MAX_N)}
                 for function, (row, _, _) in _COMPUTE.items()}
     if command == "verify":  # only verify compiles the suites
-        # Below 1 every k-restricted check would be skipped in silence.
-        k_max = {"k-max": (False, 1, None)}
-        return {name: {"n-max": (False, lowest, highest), **(k_max if samples_k else {})}
-                for name, (lowest, highest, samples_k, _) in relprime.checks.SUITES.items()}
+        return {name: row for name, (row, _) in relprime.checks.SUITES.items()}
     if command == "affine":
-        sets = {"set": (False, "texts")}
-        return {"canon": sets, "equiv": sets, "profile": sets, "dist": {
+        one = {"set": (False, "sets", 1)}
+        return {"canon": one, "equiv": {"set": (False, "sets", 2)}, "profile": one, "dist": {
             "n": (True, 0, relprime.affine.DIST_MAX_N), "k": (False, 1, None),
             "inequivalent": (False, "flag")}}
-    return {"": {"n": (True, "text"), "reps": (False, 1, BENCH_MAX_REPS)}}
+    return {"": {"reps": (False, 1, BENCH_MAX_REPS), "n": (True, "n", relprime.oracle.ORACLE_MAX)}}
 
 
 def _parse(argv: list[str]) -> tuple[str, str, dict]:
-    """The command, the action and the options that argv asks for.
+    """The command, the action and the values of the options that argv asks for.
 
     Options are `--opt value` (whatever value starts with; none at the end
-    reads as "") or `--opt=value`.  Refused in turn: a token no row lists;
-    the first given option, in row order, that the action's row does not
-    list; in row order, a required option left out or a bad integer.
+    reads as "") or `--opt=value`.  Refused in turn: a word that the
+    action's row does not list, as it is read; then, in row order, a
+    required option left out or a bad value.
     """
     command, *argv = argv or [""]
     if command not in _COMMANDS:
-        raise UsageError(f"unknown command {_cut(command)!r}" if command else "no command given")
+        raise UsageError(f"unknown command {_cut(command)}" if command else "no command given")
     rows = _rows(command)
     action = argv.pop(0) if argv and "" not in rows else ""
     if action not in rows:
-        raise UsageError(f"unknown {command} action {_cut(action)!r}" if action
+        raise UsageError(f"unknown {command} action {_cut(action)}" if action
                          else f"no {command} action given")
     name = f"{command} {action}".strip()
-    kinds = {opt: kind for row in rows.values() for opt, kind in row.items()}
+    row = rows[action]
     given: dict[str, list] = {}
     tokens = iter(argv)
     for token in tokens:
         opt, eq, value = token[2:].partition("=")
-        flag = kinds.get(opt) == (False, "flag")
-        if token[:2] != "--" or opt not in kinds or eq and flag:
-            raise UsageError(f"{name} does not take {_cut(token)!r}")
+        flag = row.get(opt) == (False, "flag")
+        if token[:2] != "--" or opt not in row or eq and flag:
+            raise UsageError(f"{name} does not take {_cut(token)}")
         if not eq and not flag:
             value = next(tokens, "")
         given.setdefault(opt, []).append(value)
-    for opt in kinds:
-        if opt in given and opt not in rows[action]:
-            raise UsageError(f"{name} does not take --{opt}")
     options = {}
-    for opt, (required, *how) in rows[action].items():
+    for opt, (required, *how) in row.items():
         values = given.get(opt, [])
         if required and not values:
             raise UsageError(f"{name} requires --{opt}")
         value = values[-1] if values else None
         if how == ["flag"]:
             value = bool(values)
-        elif how == ["texts"]:
-            value = values
-        elif value is not None and how != ["text"]:
+        elif how[0] == "sets":
+            value = [[_integer(word, "set element") for word in text.split(",")]
+                     for text in values]
+            if len(value) != how[1]:
+                raise UsageError(f"{name} requires exactly {('one', 'two')[how[1] - 1]} --{opt}")
+        elif how[0] == "n":
+            value = _parse_n_list(value, how[1])
+        elif isinstance(how[0], tuple):
+            if value not in (None, *how[0]):
+                raise UsageError(f"--{opt} must be {', '.join(how[0][:-1])} or {how[0][-1]}, "
+                                 f"got {_cut(value)}")
+        elif value is not None:
             value = _integer(value, f"--{opt}", *how)
         options[opt] = value
     return command, action, options

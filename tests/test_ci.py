@@ -67,7 +67,7 @@ def test_refusal_pins_hold(shim):
     # a second; the steps' other pins count for seconds each.
     lines = [line for script in _steps().values() for line in script
              if "refused" in line and not line.startswith("#")]
-    assert sum(line.startswith("refused() ") for line in lines) == 2
+    assert sum(line.startswith("refused() ") for line in lines) == 1
     assert "refused compute f --n 4 --k 2" in lines
     assert "refused affine dist --n 5 --set 1" in lines
     assert "refused" in lines and "refused bench --n 5 --k 2" in lines

@@ -229,8 +229,9 @@ class TestComputeBytes:
         assert run(capsys, "compute", "f", "--n", "49..50", "--format", "bfile") == (
             0, f"49 {count_relprime(49)}\n50 {count_relprime(50)}\n", ""
         )
+        # bench's cap is the enumeration guard, whatever COMPUTE_MAX_N is.
         assert run(capsys, "bench", "--n", "1..51") == (
-            2, "", "error: range end must be <= 50, got 51\n"
+            2, "", "error: range end must be <= 40, got 51\n"
         )
 
     @pytest.mark.parametrize(
@@ -442,18 +443,20 @@ class TestVerify:
         assert n_max.endswith("; optional for " + ", ".join(SUITES))
         # The --k-max help names the rows that sample k, and only those.
         assert k_max.endswith(
-            "; optional for " + ", ".join(name for name, row in SUITES.items() if row[2])
+            "; optional for " + ", ".join(name for name, (row, _) in SUITES.items()
+                                          if "k-max" in row)
         )
 
     def test_the_oracle_cap_is_the_enumeration_guard(self):
         from relprime import checks, oracle
 
-        assert checks.SUITES["oracle"][:2] == (1, oracle.ORACLE_MAX)
+        assert checks.SUITES["oracle"][0]["n-max"] == (False, 1, oracle.ORACLE_MAX)
 
     def test_every_other_suite_has_one_cap(self):
         from relprime import checks
 
-        caps = {name: row[1] for name, row in checks.SUITES.items() if name != "oracle"}
+        caps = {name: row["n-max"][2] for name, (row, _) in checks.SUITES.items()
+                if name != "oracle"}
         assert set(caps.values()) == {checks.VERIFY_MAX_N}, caps
 
     @pytest.mark.parametrize("suite", ["asymptotics", "kernels"])
@@ -480,7 +483,7 @@ class TestVerify:
     def test_a_suite_that_samples_no_k_refuses_k_max(self, capsys, suite, k_max):
         # Before any value is read, so every value is refused the same way,
         # and so is a bad --n-max given with it.
-        refused = (2, "", f"error: verify {suite} does not take --k-max\n")
+        refused = (2, "", f"error: verify {suite} does not take '--k-max'\n")
         assert run(capsys, "verify", suite, "--k-max", k_max) == refused
         assert run(capsys, "verify", suite, "--n-max", "0", "--k-max", k_max) == refused
 
@@ -499,16 +502,16 @@ class TestVerify:
             monkeypatch.setattr(
                 module, name, lambda n, k, count=count: count(n, k) + (k == 2) * 10**6
             )
-        lowest, _, samples_k, _ = checks.SUITES[suite]
+        row, _ = checks.SUITES[suite]
         code, out, err = run(capsys, "verify", suite, "--n-max", "12")
         capped = run(capsys, "verify", suite, "--n-max", "12", "--k-max", "1")
-        if samples_k:
+        if "k-max" in row:
             assert (code, err) == (1, "")
             assert out.startswith(f"{suite}: FAIL after ") and out.endswith(", k=2\n"), out
-            assert capped == (0, f"{suite}: {13 - lowest} checks passed\n", "")
+            assert capped == (0, f"{suite}: {13 - row['n-max'][1]} checks passed\n", "")
         else:
             assert (code, out.endswith(" checks passed\n"), err) == (0, True, "")
-            assert capped == (2, "", f"error: verify {suite} does not take --k-max\n")
+            assert capped == (2, "", f"error: verify {suite} does not take '--k-max'\n")
 
     def test_k_max_of_one_runs(self, capsys):
         code, out, _ = run(capsys, "verify", "recursions", "--n-max", "5", "--k-max", "1")
@@ -948,12 +951,12 @@ class TestIntegerArguments:
 
     def test_dist_options_belong_to_dist(self, capsys):
         # TestOptionRows refuses each one alone.  Here they are refused before
-        # the --set count is checked, and the parser's first one is named.
+        # the --set count is checked, and the first one given is named.
         assert run(capsys, "affine", "canon", "--inequivalent") == (
-            2, "", "error: affine canon does not take --inequivalent\n"
+            2, "", "error: affine canon does not take '--inequivalent'\n"
         )
         assert run(capsys, "affine", "canon", "--set", "1,2", "--k", "3", "--n", "3") == (
-            2, "", "error: affine canon does not take --n\n"
+            2, "", "error: affine canon does not take '--k'\n"
         )
 
 
@@ -977,8 +980,8 @@ def _rows():
     from relprime.checks import SUITES
 
     rows = dict(_TAKES)
-    for suite, (_, _, samples_k, _) in SUITES.items():
-        rows["verify", suite] = ({"--n-max", "--k-max"} if samples_k else {"--n-max"}, set())
+    for suite, (row, _) in SUITES.items():
+        rows["verify", suite] = ({f"--{option}" for option in row}, set())
     return rows
 
 
@@ -1016,7 +1019,7 @@ class TestOptionRows:
         if taken:
             assert " does not take " not in err
         else:
-            assert err == f"error: {command} {action} does not take {option}\n"
+            assert err == f"error: {command} {action} does not take '{option}'\n"
             assert len(err.encode()) < 100
 
     @pytest.mark.parametrize("command,action,option", [
@@ -1048,6 +1051,45 @@ class TestOptionRows:
         }
 
 
+def _bounded():
+    """Each bounded integer or n list of each row, with what its row requires
+    besides it, each at its lowest, and its lowest and highest values."""
+    for command in ("compute", "verify", "affine", "bench"):
+        for action, row in cli._rows(command).items():
+            ends = {option: (1, how[1]) if how[0] == "n" else tuple(how)
+                    for option, (_, *how) in row.items()
+                    if how[0] == "n" or len(how) == 2 and how[0] != "sets"}
+            for option, (lowest, highest) in ends.items():
+                base = [arg for other, (required, *_) in row.items() if required and other != option
+                        for arg in (f"--{other}", str(ends[other][0]))]
+                words = [command, action] if action else [command]
+                yield pytest.param(words, base, option, lowest, highest,
+                                   id=" ".join([*words, f"--{option}"]))
+
+
+class TestBounds:
+    """The ends of every bounded value are read, and one step past each is refused."""
+
+    @pytest.mark.parametrize("words,base,option,lowest,highest", list(_bounded()))
+    def test_ends_are_read(self, words, base, option, lowest, highest):
+        # _parse counts nothing, so even the highest n is read at once.
+        for end in (lowest, highest):
+            if end is not None:
+                argv = [*words, *base, f"--{option}", str(end)]
+                assert cli._parse(argv)[2][option] in (end, [end])
+
+    @pytest.mark.parametrize("words,base,option,lowest,highest", list(_bounded()))
+    def test_one_step_past_is_refused(self, capsys, words, base, option, lowest, highest):
+        for end, step in ((lowest, -1), (highest, 1)):
+            if end is not None:
+                code, out, err = run(capsys, *words, *base, f"--{option}", str(end + step))
+                assert (code, out, err.count("\n")) == (2, "", 1)
+                assert len(err.encode()) < 100 and err.endswith(f", got {end + step}\n")
+
+
+_X01 = "\\x01" * 10
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run(capsys) == (2, "", "error: no command given\n")
@@ -1061,7 +1103,7 @@ class TestTopLevel:
             ("compute --n 5 f", "unknown compute action '--n'"),
             ("verify everything", "unknown verify action 'everything'"),
             ("compute f", "compute f requires --n"),
-            ("compute f --k 2", "compute f does not take --k"),
+            ("compute f --k 2", "compute f does not take '--k'"),
             ("compute f --n", "n must be an integer, got ''"),
             ("compute phi --n=", "n must be an integer, got ''"),
             ("compute f --n 5 7", "compute f does not take '7'"),
@@ -1077,7 +1119,15 @@ class TestTopLevel:
             ("bench", "bench requires --n"),
             ("bench --n 5 --k 2", "bench does not take '--k'"),
             ("bench --n 5 --reps", "--reps must be an integer, got ''"),
-            ("bench --n 0 --reps 0", "--reps must be >= 1, got 0"),  # the row before the handler
+            ("bench --n 0 --reps 0", "--reps must be >= 1, got 0"),  # the row's order
+            # Escaped to ASCII before it is cut, so each control or wide
+            # character counts for its whole escape.
+            ("compute f --n " + "\x01" * 30, f"n must be an integer, got '{_X01}...'"),
+            ("compute f --n 5 " + "\x01" * 30, f"compute f does not take '{_X01}...'"),
+            ("affine canon --set 1," + "\x01" * 30,
+             f"set element must be an integer, got '{_X01}...'"),
+            ("compute f --n " + "\U0001f600" * 30,
+             "n must be an integer, got '" + "\\U0001f600" * 4 + "...'"),
         ],
     )
     def test_a_bad_command_line_is_one_short_line(self, capsys, argv, message):
@@ -1218,13 +1268,15 @@ class TestTopLevel:
         assert (exc.value.code, capsys.readouterr().out) == (code, out)
 
 
+_README = (SRC.parent / "README.md").read_text()
+
+
 def _readme_cli_examples():
     """(command, output lines) for each example in the README's CLI block.
 
     bench is left out: it prints timings, which differ from run to run.
     """
-    text = (SRC.parent / "README.md").read_text()
-    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    block = _README.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
     examples = [example.splitlines() for example in block.strip().split("\n\n")]
     return [(command, output) for command, *output in examples if " bench " not in command]
 
@@ -1241,3 +1293,31 @@ def test_readme_cli_examples(capsys, command, output):
     code, out, err = run(capsys, *argv)
     expected = _mask_elapsed("".join(line + "\n" for line in output))
     assert (code, _mask_elapsed(out), err) == (0, expected, "")
+
+
+def test_readme_suite_table_is_the_rows():
+    from relprime.checks import SUITES
+
+    head = "| suite | lowest `--n-max` | cap | `--n-max` default | `--k-max` |\n|---|---|---|---|---|\n"
+    read = {}
+    for line in _README.split(head, 1)[1].split("\n\n", 1)[0].splitlines():
+        names, lowest, cap, default, k_max = (cell.strip() for cell in line.strip("|").split("|"))
+        for name in re.findall(r"`([a-z-]+)`", names.split("(")[0]):
+            assert name not in read
+            read[name] = (int(lowest), int(cap), cap if default == "the cap" else default, k_max)
+    assert read == {
+        name: (lowest, cap, str(min(cli._DEFAULT_N_MAX, cap)), "taken" if "k-max" in row else "refused")
+        for name, (row, _) in SUITES.items() for _, lowest, cap in [row["n-max"]]
+    }
+
+
+def test_readme_says_what_each_affine_action_takes():
+    rows = cli._rows("affine")
+    sets = {action: row["set"][2] for action, row in rows.items() if "set" in row}
+    one, two = ([action for action, count in sets.items() if count == n] for n in (1, 2))
+    takes = [f"`--{option}`" + (", which it requires," if required else "")
+             for option, (required, *_) in rows["dist"].items()]
+    assert sorted([*sets, "dist"]) == sorted(rows)
+    sentence = (f"`affine {one[0]}` and `affine {one[1]}` take one `--set`, and `affine {two[0]}` "
+                f"two. `affine dist` takes {' '.join(takes[:-1])} and {takes[-1]}.")
+    assert sentence in " ".join(_README.split())
