@@ -300,7 +300,7 @@ def _rows(command: str) -> dict:
 
     A row maps each option that the action takes, in the order it is read,
     to (required, lowest, highest) for an integer, (True, "n", highest) for
-    an n list, (False, choices) for one of the words choices, (False,
+    an n list, (False, choices) for one of the words choices, (True,
     "sets", count) for count comma lists of integers, or (False, "flag")
     for an option that takes no value.  Caps are read as the rows are built.
     """
@@ -311,8 +311,8 @@ def _rows(command: str) -> dict:
     if command == "verify":  # only verify compiles the suites
         return {name: row for name, (row, _) in relprime.checks.SUITES.items()}
     if command == "affine":
-        one = {"set": (False, "sets", 1)}
-        return {"canon": one, "equiv": {"set": (False, "sets", 2)}, "profile": one, "dist": {
+        one = {"set": (True, "sets", 1)}
+        return {"canon": one, "equiv": {"set": (True, "sets", 2)}, "profile": one, "dist": {
             "n": (True, 0, relprime.affine.DIST_MAX_N), "k": (False, 1, None),
             "inequivalent": (False, "flag")}}
     return {"": {"reps": (False, 1, BENCH_MAX_REPS), "n": (True, "n", relprime.oracle.ORACLE_MAX)}}
@@ -323,7 +323,8 @@ def _parse(argv: list[str]) -> tuple[str, str, dict]:
 
     Options are `--opt value` (whatever value starts with; none at the end
     reads as "") or `--opt=value`.  Refused in turn: a word that the
-    action's row does not list, as it is read; then, in row order, a
+    action's row does not list, or an option given again (but --set, whose
+    count is checked with its values), as it is read; then, in row order, a
     required option left out or a bad value.
     """
     command, *argv = argv or [""]
@@ -336,7 +337,7 @@ def _parse(argv: list[str]) -> tuple[str, str, dict]:
                          else f"no {command} action given")
     name = f"{command} {action}".strip()
     row = rows[action]
-    given: dict[str, list] = {}
+    given: dict[str, str | list[str]] = {}
     tokens = iter(argv)
     for token in tokens:
         opt, eq, value = token[2:].partition("=")
@@ -345,18 +346,20 @@ def _parse(argv: list[str]) -> tuple[str, str, dict]:
             raise UsageError(f"{name} does not take {_cut(token)}")
         if not eq and not flag:
             value = next(tokens, "")
-        given.setdefault(opt, []).append(value)
+        sets = row[opt][1] == "sets"
+        if opt in given and not sets:
+            raise UsageError(f"{name} takes --{opt} once")
+        given[opt] = [*given.get(opt, []), value] if sets else value
     options = {}
     for opt, (required, *how) in row.items():
-        values = given.get(opt, [])
-        if required and not values:
+        value = given.get(opt)
+        if required and value is None:
             raise UsageError(f"{name} requires --{opt}")
-        value = values[-1] if values else None
         if how == ["flag"]:
-            value = bool(values)
+            value = value is not None
         elif how[0] == "sets":
             value = [[_integer(word, "set element") for word in text.split(",")]
-                     for text in values]
+                     for text in value]
             if len(value) != how[1]:
                 raise UsageError(f"{name} requires exactly {('one', 'two')[how[1] - 1]} --{opt}")
         elif how[0] == "n":
@@ -413,7 +416,3 @@ def entry_point() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    entry_point()

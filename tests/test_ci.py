@@ -70,6 +70,8 @@ def test_refusal_pins_hold(shim):
     assert sum(line.startswith("refused() ") for line in lines) == 1
     assert "refused compute f --n 4 --k 2" in lines
     assert "refused affine dist --n 5 --set 1" in lines
+    assert "refused compute f --n x --n 5" in lines
+    assert "refused affine dist --n 3 --inequivalent --inequivalent" in lines
     assert "refused" in lines and "refused bench --n 5 --k 2" in lines
     result = _run(CI_SHELL, lines, shim)
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "")

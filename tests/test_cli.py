@@ -969,10 +969,10 @@ _TAKES = {
     ("compute", "phi"): ({"--n"}, set()),
     ("compute", "phik"): ({"--n", "--k"}, {"--k"}),
     ("compute", "psi"): ({"--n", "--d"}, {"--d"}),
-    ("affine", "canon"): ({"--set"}, set()),
+    ("affine", "canon"): ({"--set"}, {"--set"}),
     ("affine", "dist"): ({"--n", "--k", "--inequivalent"}, {"--n"}),
-    ("affine", "equiv"): ({"--set"}, set()),
-    ("affine", "profile"): ({"--set"}, set()),
+    ("affine", "equiv"): ({"--set"}, {"--set"}),
+    ("affine", "profile"): ({"--set"}, {"--set"}),
 }
 
 
@@ -1009,6 +1009,26 @@ def _walk():
                                id=f"{command} {action} {option}")
 
 
+def _valid(how):
+    """The words of a valid value for an option read as how says: none for a
+    flag, and the lowest, the first choice or 1 for the others."""
+    kind = how[1]
+    if kind == "flag":
+        return []
+    if isinstance(kind, tuple):
+        return [kind[0]]
+    return [str(kind)] if isinstance(kind, int) else ["1"]
+
+
+def _options_taken():
+    """Each option of each row, with the words that name the row's action."""
+    for command in ("compute", "verify", "affine", "bench"):
+        for action, row in cli._rows(command).items():
+            words = [command, action] if action else [command]
+            for option in row:
+                yield pytest.param(words, row, option, id=" ".join([*words, f"--{option}"]))
+
+
 class TestOptionRows:
     """One loop refuses, requires and reads the options of every action."""
 
@@ -1035,7 +1055,7 @@ class TestOptionRows:
 
     @pytest.mark.parametrize("command,option", [
         ("compute", "--k"), ("compute", "--d"),
-        ("affine", "--n"), ("affine", "--k"), ("affine", "--inequivalent"),
+        ("affine", "--set"), ("affine", "--n"), ("affine", "--k"), ("affine", "--inequivalent"),
     ])
     def test_help_names_the_actions_that_take_an_option(self, capsys, command, option):
         code, out, err = run(capsys, command, "--help")
@@ -1049,6 +1069,22 @@ class TestOptionRows:
         assert set(re.findall(r"[a-z]+", required)) & actions == {
             action for (c, action), (_, needs) in _TAKES.items() if c == command and option in needs
         }
+
+    @pytest.mark.parametrize("words,row,option", list(_options_taken()))
+    def test_each_option_is_read_once(self, capsys, words, row, option):
+        # With the row's required options at a valid value, the option given
+        # once runs and given once more is refused; --set, one past its count.
+        name, kind = " ".join(words), row[option][1]
+        count = row[option][2] if kind == "sets" else 1
+        base = [arg for other, (required, *_) in row.items() if required and other != option
+                for arg in (f"--{other}", *_valid(row[other]))]
+        given = [f"--{option}", *_valid(row[option])]
+        assert run(capsys, *words, *base, *given * count)[0] == 0
+        code, out, err = run(capsys, *words, *base, *given * (count + 1))
+        refusal = (f"{name} requires exactly {('one', 'two')[count - 1]} --{option}"
+                   if kind == "sets" else f"{name} takes --{option} once")
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
+        assert len(err.encode()) < 100
 
 
 def _bounded():
@@ -1115,6 +1151,16 @@ class TestTopLevel:
             ("verify recursions --n 5", "verify recursions does not take '--n'"),
             ("verify recursions --k-max", "--k-max must be an integer, got ''"),
             ("affine dist --n 5 --inequivalent=1", "affine dist does not take '--inequivalent=1'"),
+            # An option is read once: a repeat is refused before either value is read.
+            ("affine dist --inequivalent --n 1 --inequivalent", "affine dist takes --inequivalent once"),
+            ("affine dist --n 3 --inequivalent --inequivalent", "affine dist takes --inequivalent once"),
+            ("compute f --n 4 --n 5", "compute f takes --n once"),
+            ("compute f --n x --n 5", "compute f takes --n once"),
+            ("compute f --n 0 --n 5", "compute f takes --n once"),
+            ("compute f --n 3 --format json --format plain", "compute f takes --format once"),
+            ("compute f --n 5 --format xml --format plain", "compute f takes --format once"),
+            ("verify oracle --n-max 41 --n-max 7", "verify oracle takes --n-max once"),
+            ("bench --n 99 --n 5 --reps 1", "bench takes --n once"),
             ("affine canon --set", "set element must be an integer, got ''"),
             ("bench", "bench requires --n"),
             ("bench --n 5 --k 2", "bench does not take '--k'"),
@@ -1147,10 +1193,7 @@ class TestTopLevel:
         [
             ("compute f --n=1..5", "1 2 5 11 26\n"),
             ("compute fk --k=2 --n 4", "5\n"),
-            ("compute f --n 4 --n 5", "26\n"),  # the last value given counts
-            ("compute f --n 3 --format json --format plain", "5\n"),
             ("affine equiv --set -4,10,17,38 --set=2,8,11,20", "true\n"),
-            ("affine dist --inequivalent --n 1 --inequivalent", "1:1 3:1\n"),
             ("verify recursions --n-max=5 --k-max=1", "recursions: 5 checks passed\n"),
             ("bench --reps=1 --n 8", "n=8 "),
         ],
@@ -1309,6 +1352,46 @@ def test_readme_suite_table_is_the_rows():
         name: (lowest, cap, str(min(cli._DEFAULT_N_MAX, cap)), "taken" if "k-max" in row else "refused")
         for name, (row, _) in SUITES.items() for _, lowest, cap in [row["n-max"]]
     }
+
+
+def test_readme_caps_table_is_at_the_caps():
+    # Each row that names a cap is read by the parser, or by its words, and
+    # checked against the cap in the rows or in the module that holds it.
+    from relprime.checks import SUITES
+
+    head = "| command | wall time | peak RSS |\n|---|---|---|\n"
+    checked = []
+    for line in _README.split(head, 1)[1].split("\n\n", 1)[0].splitlines():
+        command, note = re.fullmatch(r"\| `([^`]*)`([^|]*)\|.*", line).groups()
+        if "elements" in note:  # a profile: its set is too long to write out
+            (size,) = re.findall(r"with (\d+) random elements", note)
+            assert int(size) == affine.PROFILE_MAX_ELEMENTS
+            checked.append("profile")
+            continue
+        if not re.search("cap|longest", note):
+            continue
+        name, action, options = cli._parse(command.split())
+        if name == "compute" and "longest range from 1" in note:
+            ns = options["n"]
+            assert ns == list(range(1, len(ns) + 1))
+            assert sum(ns) <= cli.COMPUTE_MAX_TOTAL_N < sum(ns) + len(ns) + 1
+            checked.append("range")
+        elif name == "compute":
+            assert max(options["n"]) == cli.COMPUTE_MAX_N
+            checked.append(f"compute {action}")
+        elif name == "verify":
+            assert options["n-max"] == SUITES[action][0]["n-max"][2]
+            checked.append(f"verify {action}")
+        elif name == "affine":
+            assert options["n"] == affine.DIST_MAX_N
+            checked.append("dist")
+        else:
+            assert options["reps"] == cli.BENCH_MAX_REPS
+            checked.append("reps")
+    assert sorted(set(checked)) == sorted([
+        "profile", "range", "compute f", "compute phi", "dist", "reps",
+        *(f"verify {suite}" for suite in SUITES if suite != "closed-forms"),
+    ])
 
 
 def test_readme_says_what_each_affine_action_takes():
