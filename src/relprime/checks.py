@@ -1,13 +1,13 @@
 """The verify suites, as one table.
 
 A suite is a generator that takes the range of n it checks and the cap
-on sampled k, and yields once per check: None when the check passed, or
+on checked k, and yields once per check: None when the check passed, or
 the failure message when it did not.  It is not resumed after a
 message.  Each suite looks up the library functions it calls through
 their module, when it starts or at each call, so a function patched
 into its module before the run is the one called.  A row of SUITES
 lists the options verify takes for its suite, --k-max only where the
-suite samples k.  Only the verify command imports this module.
+suite reads k.  Only the verify command imports this module.
 """
 
 import relprime
@@ -94,19 +94,9 @@ def _suite_affine(trials: range, _k_max):
     affine_map = relprime.affine.affine_map
     canonical_form = relprime.affine.canonical_form
     invariant_profile = relprime.affine.invariant_profile
-    # The draws of Random(20070103).randint and .choice: randint(lo, hi) is
-    # lo + below(hi - lo + 1) and choice(s) is s[below(len(s))], where below
-    # draws as their _randbelow does.  The stream is the same, without
-    # three Python frames per draw.
-    bits = random.Random(20070103).getrandbits
-
-    def below(n: int) -> int:
-        k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return r
-
+    # randint(lo, hi) draws lo + below(hi - lo + 1) and choice(s) draws
+    # s[below(len(s))], so this is their stream, with fewer frames per draw.
+    below = random.Random(20070103)._randbelow
     dilations = [v for v in range(-6, 7) if v != 0]
     # Each dilation p/q and each translation is built once.
     xs = {(p, q): Fraction(p, q) for p in dilations for q in range(1, 7)}

@@ -177,8 +177,6 @@ def _cmd_compute(function: str, extra: dict) -> int:
         for n in ns:
             if n % extra["d"]:
                 raise UsageError(f"psi requires d | n; {extra['d']} does not divide {n}")
-    if style == "json":
-        import json
 
     # Each value is written as soon as it is computed, so a reader that
     # closes the pipe early stops the run, and no value is kept after it is printed.
@@ -189,6 +187,7 @@ def _cmd_compute(function: str, extra: dict) -> int:
         elapsed = time.perf_counter() - start
         text = _decimal(value)
         if style == "json":
+            import json
             record = {"n": n, **extra, "value": text, "method": "formula",
                       "elapsed_ms": elapsed * 1000.0}
             print(json.dumps(record))
@@ -286,9 +285,9 @@ _COMMANDS = {
     "verify": ("run an identity/cross-check suite", _cmd_verify, {
         "n-max": "upper end of the check range (trial count for the affine suite); "
                  "default 1000, or the suite's cap if lower",
-        "k-max": "cap on sampled k"}),
+        "k-max": "largest k checked"}),
     "affine": ("canonical forms and invariants", _cmd_affine, {
-        "set": "comma-separated integers; repeatable", "n": "interval end",
+        "set": "comma-separated integers", "n": "interval end",
         "k": "cardinality restriction", "inequivalent": "count each affine class once"}),
     "bench": ("time the formula against enumeration", _cmd_bench, {
         "n": "n value, range a..b, or comma list", "reps": "timing repetitions, 3 if not given"}),
@@ -386,7 +385,8 @@ def _help(command: str) -> str:
              summary]
     for opt, text in texts.items():
         for word, required in (("required", True), ("optional", False)):
-            actions = [action for action, row in rows.items()
+            actions = [f"{action} ({('one', 'two')[row[opt][2] - 1]})" if row[opt][1] == "sets"
+                       else action for action, row in rows.items()
                        if opt in row and row[opt][0] is required]
             if actions:
                 text += f"; {word}" + (f" for {', '.join(actions)}" if any(actions) else "")

@@ -615,7 +615,8 @@ class TestVerify:
 
 
 def _randint_choice_trials(count):
-    """The affine suite's sets and maps, drawn with randint and choice as they once were."""
+    """The affine suite's sets and maps, drawn with randint and choice, which draw
+    through Random._randbelow as the suite does."""
     rng = random.Random(20070103)
     dilations = [v for v in range(-6, 7) if v != 0]
     for _ in range(count):
@@ -1070,6 +1071,17 @@ class TestOptionRows:
             action for (c, action), (_, needs) in _TAKES.items() if c == command and option in needs
         }
 
+    @pytest.mark.parametrize("command,action,option,count", [
+        (command, action, option, how[1]) for command in ("compute", "verify", "affine", "bench")
+        for action, row in cli._rows(command).items()
+        for option, (_, *how) in row.items() if how[0] == "sets"
+    ])
+    def test_help_counts_each_set(self, capsys, command, action, option, count):
+        # Each action that takes sets is named with the count its row gives.
+        (line,) = [line for line in run(capsys, command, "--help")[1].splitlines()
+                   if line.startswith(f"  --{option} ")]
+        assert f" {action} ({('one', 'two')[count - 1]})" in line
+
     @pytest.mark.parametrize("words,row,option", list(_options_taken()))
     def test_each_option_is_read_once(self, capsys, words, row, option):
         # With the row's required options at a valid value, the option given
@@ -1231,6 +1243,14 @@ class TestTopLevel:
             "  --n     n value, range a..b, or comma list; required",
             "  --reps  timing repetitions, 3 if not given; optional",
         ]
+        assert run(capsys, "affine", "--help")[1].splitlines()[2] == (
+            "  --set           comma-separated integers; "
+            "required for canon (one), equiv (two), profile (one)"
+        )
+        assert run(capsys, "verify", "--help")[1].splitlines()[3] == (
+            "  --k-max  largest k checked; "
+            "optional for recursions, divisor-sums, bounds, asymptotics, oracle, kernels"
+        )
 
     def test_module_invocation(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
