@@ -36,9 +36,7 @@ _EXPORTS = {
             "count_relprime",
             "count_relprime_k",
             "sandwich_bounds",
-            "sandwich_bounds_k",
             "verify_recursion",
-            "verify_recursion_k",
         )),
         ("oracle", (
             "ORACLE_MAX",
@@ -51,14 +49,11 @@ _EXPORTS = {
         ("setphi", (
             "PhiReport",
             "asymptotic_report",
-            "asymptotic_report_k",
             "residual_bound",
-            "residual_bound_k",
             "subset_phi",
             "subset_phi_k",
             "subset_psi",
             "verify_divisor_sum",
-            "verify_divisor_sum_k",
         )),
     )
     for name in names

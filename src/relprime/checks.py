@@ -21,17 +21,15 @@ def _sampled_ks(n: int, k_max: int | None) -> list[int]:
     return sorted(k for k in ks if 1 <= k <= top)
 
 
-def _sampled(stem: str, module: str, at_n, at_nk):
-    """The suite of one check per n: at_n(m, n), then at_nk(m, n, k) per
+def _sampled(stem: str, module: str, check):
+    """The suite of one check per n: check(m, n, k) at k = None, then per
     sampled k, with m the module named, looked up when the suite starts."""
     def suite(ns: range, k_max: int | None):
         m = getattr(relprime, module)
         for n in ns:
-            if not at_n(m, n):
-                yield f"{stem} at n={n}"
-            for k in _sampled_ks(n, k_max):
-                if not at_nk(m, n, k):
-                    yield f"{stem} at n={n}, k={k}"
+            for k in (None, *_sampled_ks(n, k_max)):
+                if not check(m, n, k):
+                    yield f"{stem} at n={n}" if k is None else f"{stem} at n={n}, k={k}"
             yield None
 
     return suite
@@ -151,21 +149,18 @@ _N_MAX = {"n-max": (False, 1, VERIFY_MAX_N)}
 _K_MAX = {"k-max": (False, 1, None)}  # below 1, every k-restricted check is skipped
 SUITES = {
     "recursions": ({**_N_MAX, **_K_MAX}, _sampled(
-        "count recursion failed", "counting",
-        lambda c, n: c.verify_recursion(n), lambda c, n, k: c.verify_recursion_k(n, k))),
+        "count recursion failed", "counting", lambda c, n, k: c.verify_recursion(n, k))),
     "divisor-sums": ({**_N_MAX, **_K_MAX}, _sampled(
-        "divisor sum failed", "setphi",
-        lambda s, n: s.verify_divisor_sum(n), lambda s, n, k: s.verify_divisor_sum_k(n, k))),
+        "divisor sum failed", "setphi", lambda s, n, k: s.verify_divisor_sum(n, k))),
     # The unrestricted sandwich is checked from n = 2 on; see the bounds
     # discussion in the README.
     "bounds": ({**_N_MAX, **_K_MAX}, _sampled(
         "sandwich violated", "counting",
-        lambda c, n: n < 2 or (b := c.sandwich_bounds(n))[0] <= c.count_relprime(n) <= b[1],
-        lambda c, n, k: (b := c.sandwich_bounds_k(n, k))[0] <= c.count_relprime_k(n, k) <= b[1])),
+        lambda c, n, k: n < 2 and k is None or (b := c.sandwich_bounds(n, k))[0] <= (
+            c.count_relprime(n) if k is None else c.count_relprime_k(n, k)) <= b[1])),
     "asymptotics": ({"n-max": (False, 2, VERIFY_MAX_N), **_K_MAX}, _sampled(
         "residual envelope violated", "setphi",
-        lambda s, n: abs(s.asymptotic_report(n).residual) <= s.residual_bound(n),
-        lambda s, n, k: abs(s.asymptotic_report_k(n, k).residual) <= s.residual_bound_k(n, k))),
+        lambda s, n, k: abs(s.asymptotic_report(n, k).residual) <= s.residual_bound(n, k))),
     # oracle.ORACLE_MAX, written out so that only this suite imports oracle.
     "oracle": ({"n-max": (False, 1, 40), **_K_MAX}, _suite_oracle),
     "affine": (_N_MAX, _suite_affine),

@@ -283,7 +283,8 @@ _COMMANDS = {
         "n": "n value, range a..b, or comma list", "k": "cardinality", "d": "divisor of n",
         "format": "plain (the default), json lines, or bfile (OEIS b-file lines)"}),
     "verify": ("run an identity/cross-check suite", _cmd_verify, {
-        "n-max": "upper end of the check range (trial count for the affine suite); "
+        "n-max": "upper end of the check range (trial count for the affine suite; "
+                 "closed-forms runs its 13 checks whatever it is); "
                  "default 1000, or the suite's cap if lower",
         "k-max": "largest k checked"}),
     "affine": ("canonical forms and invariants", _cmd_affine, {

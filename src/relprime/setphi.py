@@ -19,10 +19,12 @@ divisor-sum identities
     sum_{d|n} subset_phi_k(d) = C(n, k)
 
 are exposed as verification checks, which read the counts of the
-divisors through one memo; the counts keep no values.  subset_psi(n, d)
-counts subsets by the gcd they share with n and reduces to subset_phi(n/d).
+divisors through one memo per size k; the counts keep no values.
+subset_psi(n, d) counts subsets by the gcd they share with n and reduces
+to subset_phi(n/d).
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -73,68 +75,57 @@ def subset_psi(n: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _known(d: int, k: int | None = None) -> int:
-    """subset_phi_k(d, k), or subset_phi(d) at k = None, for the divisor-sum
-    checks; they never ask for the k > d zeros, which would be most of it."""
-    return subset_phi(d) if k is None else subset_phi_k(d, k)
+def _known(k: int | None):
+    """The memo of subset_phi_k(d, k) by d, or of subset_phi(d) at k = None,
+    for the divisor-sum checks; they never ask for the d < k zeros, which
+    would be most of it.  Each memo is keyed by d alone."""
+    if k is None:
+        return lru_cache(maxsize=None)(lambda d: subset_phi(d))
+    return lru_cache(maxsize=None)(lambda d: subset_phi_k(d, k))
 
 
-def verify_divisor_sum(n: int) -> bool:
-    """True iff sum_{d|n} subset_phi(d) = 2^n - 1 exactly."""
-    if n < 1:
-        raise ValueError("verify_divisor_sum requires n >= 1")
-    return sum(_known(d) for d in _divisors(n)) == (1 << n) - 1
-
-
-def verify_divisor_sum_k(n: int, k: int) -> bool:
-    """True iff sum_{d|n} subset_phi_k(d, k) = C(n, k) exactly.
+def verify_divisor_sum(n: int, k: int | None = None) -> bool:
+    """True iff sum_{d|n} subset_phi_k(d, k) = C(n, k) exactly, or
+    sum_{d|n} subset_phi(d) = 2^n - 1 at k = None.
 
     Divisors d < k contribute subset_phi_k(d, k) = 0 and are skipped;
     the d = k term is 1 and stays in.
     """
-    if n < 1 or k < 1:
-        raise ValueError("verify_divisor_sum_k requires n >= 1 and k >= 1")
-    return sum(_known(d, k) for d in _divisors(n) if d >= k) == binomial(n, k)
+    if n < 1 or k is not None and k < 1:
+        raise ValueError("verify_divisor_sum requires n >= 1 and k >= 1")
+    divs = _divisors(n)
+    if k is None:
+        return sum(map(_known(None), divs)) == (1 << n) - 1
+    return sum(map(_known(k), divs[bisect_left(divs, k):])) == binomial(n, k)
 
 
-def asymptotic_report(n: int) -> PhiReport:
-    """subset_phi(n) against its leading term.
+def asymptotic_report(n: int, k: int | None = None) -> PhiReport:
+    """subset_phi(n), or subset_phi_k(n, k), against its leading term.
 
-    main_term is 2^n for odd n, 2^n - 2^(n/2) for even n; the residual
-    satisfies |residual| <= residual_bound(n) (checked by callers).
+    main_term is 2^n for odd n, 2^n - 2^(n/2) for even n, or their
+    binomial analogues C(n, k) and C(n, k) - C(n/2, k) at a size k; the
+    residual satisfies |residual| <= residual_bound(n, k) (checked by
+    callers).
     """
-    if n < 1:
-        raise ValueError("asymptotic_report requires n >= 1")
-    main = (1 << n) if n % 2 else (1 << n) - (1 << (n // 2))
-    value = subset_phi(n)
-    return PhiReport(n=n, k=None, value=value, main_term=main, residual=value - main)
-
-
-def asymptotic_report_k(n: int, k: int) -> PhiReport:
-    """subset_phi_k(n, k) against its leading term (binomial analogue)."""
-    if n < 1 or k < 1:
-        raise ValueError("asymptotic_report_k requires n >= 1 and k >= 1")
-    main = binomial(n, k)
-    if n % 2 == 0:
-        main -= binomial(n // 2, k)
-    value = subset_phi_k(n, k)
+    if n < 1 or k is not None and k < 1:
+        raise ValueError("asymptotic_report requires n >= 1 and k >= 1")
+    if k is None:
+        main = (1 << n) if n % 2 else (1 << n) - (1 << (n // 2))
+        value = subset_phi(n)
+    else:
+        main = binomial(n, k) if n % 2 else binomial(n, k) - binomial(n // 2, k)
+        value = subset_phi_k(n, k)
     return PhiReport(n=n, k=k, value=value, main_term=main, residual=value - main)
 
 
-def residual_bound(n: int) -> int:
-    """Envelope n * 2^ceil(n/3) for the subset_phi residual.
+def residual_bound(n: int, k: int | None = None) -> int:
+    """Envelope n * 2^ceil(n/3) for the subset_phi residual, or
+    n * C([n/3], k) for the subset_phi_k one.
 
     Dropping the one or two leading divisor terms leaves fewer than n
     terms, each at most 2^(n/3); the ceiling keeps the bound an integer
     power of two when 3 does not divide n.
     """
-    if n < 1:
-        raise ValueError("residual_bound requires n >= 1")
-    return n << ((n + 2) // 3)
-
-
-def residual_bound_k(n: int, k: int) -> int:
-    """Envelope n * C([n/3], k) for the subset_phi_k residual."""
-    if n < 1 or k < 1:
-        raise ValueError("residual_bound_k requires n >= 1 and k >= 1")
-    return n * binomial(n // 3, k)
+    if n < 1 or k is not None and k < 1:
+        raise ValueError("residual_bound requires n >= 1 and k >= 1")
+    return n << ((n + 2) // 3) if k is None else n * binomial(n // 3, k)

@@ -12,10 +12,10 @@ if str(SRC) not in sys.path:
 
 @pytest.fixture
 def cold_known(monkeypatch):
-    """Give each check module a fresh, empty memo for this test only.
+    """Give each check module fresh, empty memos for this test only.
 
-    The recursion and divisor-sum checks read their counts through a
-    private memo that lives as long as the process.  A warm memo would
+    The recursion and divisor-sum checks read their counts through
+    private memos, one per size, that live as long as the process.  A warm memo would
     hide a patched count from the checks, and a patched count's values
     would outlive the test; a fresh memo does neither.
     """

@@ -68,8 +68,8 @@ def test_recursion_and_divisor_sum_identities():
         assert counting.verify_recursion(n), f"count recursion failed at n={n}"
         assert setphi.verify_divisor_sum(n), f"divisor sum failed at n={n}"
         for k in _sampled_ks(n):
-            assert counting.verify_recursion_k(n, k), (n, k)
-            assert setphi.verify_divisor_sum_k(n, k), (n, k)
+            assert counting.verify_recursion(n, k), (n, k)
+            assert setphi.verify_divisor_sum(n, k), (n, k)
     _report("recursion and divisor-sum identities", True, "n <= 1000, sampled k")
 
 
@@ -97,7 +97,7 @@ def test_sandwich_bounds():
         assert lo <= counting.count_relprime(n) <= hi, n
     for n in range(1, 1001):
         for k in _sampled_ks(n):
-            lo, hi = counting.sandwich_bounds_k(n, k)
+            lo, hi = counting.sandwich_bounds(n, k)
             assert lo <= counting.count_relprime_k(n, k) <= hi, (n, k)
     _report("sandwich bounds", True, "2 <= n <= 1000, sampled k")
 
@@ -107,8 +107,8 @@ def test_asymptotic_envelopes():
         report = setphi.asymptotic_report(n)
         assert abs(report.residual) <= setphi.residual_bound(n), n
         for k in _sampled_ks(n):
-            rk = setphi.asymptotic_report_k(n, k)
-            assert abs(rk.residual) <= setphi.residual_bound_k(n, k), (n, k)
+            rk = setphi.asymptotic_report(n, k)
+            assert abs(rk.residual) <= setphi.residual_bound(n, k), (n, k)
     _report("asymptotic residual envelopes", True, "2 <= n <= 1000, sampled k")
 
 

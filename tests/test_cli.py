@@ -15,7 +15,7 @@ import pytest
 from relprime import affine, arith, cli
 from relprime.cli import _decimal, _decimal_by_halves, main
 from relprime.counting import count_relprime, count_relprime_k
-from relprime.setphi import subset_phi, subset_phi_k, subset_psi
+from relprime.setphi import residual_bound, subset_phi, subset_phi_k, subset_psi
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -535,7 +535,7 @@ class TestVerify:
     def test_internal_error_is_not_a_usage_error(self, capsys, monkeypatch):
         from relprime import counting
 
-        def broken(n):
+        def broken(n, k):
             raise ValueError("fault inside a computation")
 
         monkeypatch.setattr(counting, "verify_recursion", broken)
@@ -546,7 +546,7 @@ class TestVerify:
         # A failed check is a correctness bug (exit 1), not a usage error.
         from relprime import counting
 
-        monkeypatch.setattr(counting, "verify_recursion", lambda n: n < 3)
+        monkeypatch.setattr(counting, "verify_recursion", lambda n, k: n < 3)
         code, out, _ = run(capsys, "verify", "recursions", "--n-max", "10")
         assert code == 1
         assert "FAIL" in out and "n=3" in out
@@ -567,22 +567,40 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite,module,name,broken,failure",
         [
-            ("recursions", "counting", "verify_recursion", lambda n: n < 4,
+            # Each folded check, failing at k = None, then only at a size k.
+            ("recursions", "counting", "verify_recursion", lambda n, k: n < 4,
              "3 passing checks: count recursion failed at n=4"),
-            ("recursions", "counting", "verify_recursion_k", lambda n, k: k < 3,
+            ("recursions", "counting", "verify_recursion", lambda n, k: k is None or k < 3,
              "2 passing checks: count recursion failed at n=3, k=3"),
-            ("divisor-sums", "setphi", "verify_divisor_sum", lambda n: n < 5,
+            ("divisor-sums", "setphi", "verify_divisor_sum", lambda n, k: n < 5,
              "4 passing checks: divisor sum failed at n=5"),
-            ("divisor-sums", "setphi", "verify_divisor_sum_k", lambda n, k: k != 2,
+            ("divisor-sums", "setphi", "verify_divisor_sum", lambda n, k: k != 2,
              "1 passing checks: divisor sum failed at n=2, k=2"),
+            # Each folded suite under a wrong count, unrestricted, then of size k.
+            ("recursions", "counting", "count_relprime", lambda n: count_relprime(n) + (n == 4),
+             "3 passing checks: count recursion failed at n=4"),
+            ("recursions", "counting", "count_relprime_k",
+             lambda n, k: count_relprime_k(n, k) + (n == 4 and k == 2),
+             "3 passing checks: count recursion failed at n=4, k=2"),
+            ("divisor-sums", "setphi", "subset_phi", lambda n: subset_phi(n) + (n == 4),
+             "3 passing checks: divisor sum failed at n=4"),
+            ("divisor-sums", "setphi", "subset_phi_k",
+             lambda n, k: subset_phi_k(n, k) + (n == 4 and k == 2),
+             "3 passing checks: divisor sum failed at n=4, k=2"),
             ("bounds", "counting", "count_relprime", lambda n: -1,
              "1 passing checks: sandwich violated at n=2"),
             ("bounds", "counting", "count_relprime_k", lambda n, k: -1,
              "0 passing checks: sandwich violated at n=1, k=1"),
-            ("asymptotics", "setphi", "residual_bound", lambda n: -1,
+            ("asymptotics", "setphi", "residual_bound", lambda n, k: -1,
              "0 passing checks: residual envelope violated at n=2"),
-            ("asymptotics", "setphi", "residual_bound_k", lambda n, k: -1 if n > 6 else 1 << n,
+            ("asymptotics", "setphi", "residual_bound",
+             lambda n, k: residual_bound(n) if k is None else -1 if n > 6 else 1 << n,
              "5 passing checks: residual envelope violated at n=7, k=1"),
+            ("asymptotics", "setphi", "subset_phi", lambda n: subset_phi(n) + (n == 5) * 10**6,
+             "3 passing checks: residual envelope violated at n=5"),
+            ("asymptotics", "setphi", "subset_phi_k",
+             lambda n, k: subset_phi_k(n, k) + (n == 5 and k == 2) * 10**6,
+             "3 passing checks: residual envelope violated at n=5, k=2"),
             ("oracle", "counting", "count_relprime", lambda n: count_relprime(n) + (n == 4),
              "3 passing checks: count formula disagrees with enumeration at n=4"),
             ("oracle", "setphi", "subset_phi", lambda n: subset_phi(n) + (n == 4),
@@ -606,7 +624,8 @@ class TestVerify:
              "4 passing checks: f_k steps disagree with Phi_k at n=6, k=1"),
         ],
     )
-    def test_failure_messages(self, capsys, monkeypatch, suite, module, name, broken, failure):
+    def test_failure_messages(self, capsys, monkeypatch, cold_known, suite, module, name, broken,
+                              failure):
         from relprime import counting, setphi
 
         monkeypatch.setattr({"counting": counting, "setphi": setphi}[module], name, broken)
@@ -1246,6 +1265,10 @@ class TestTopLevel:
         assert run(capsys, "affine", "--help")[1].splitlines()[2] == (
             "  --set           comma-separated integers; "
             "required for canon (one), equiv (two), profile (one)"
+        )
+        assert run(capsys, "verify", "--help")[1].splitlines()[2].startswith(
+            "  --n-max  upper end of the check range (trial count for the affine suite; "
+            "closed-forms runs its 13 checks whatever it is); "
         )
         assert run(capsys, "verify", "--help")[1].splitlines()[3] == (
             "  --k-max  largest k checked; "

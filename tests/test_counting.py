@@ -10,9 +10,7 @@ from relprime.counting import (
     count_relprime,
     count_relprime_k,
     sandwich_bounds,
-    sandwich_bounds_k,
     verify_recursion,
-    verify_recursion_k,
 )
 
 # First ten values, the canonical fingerprint of the unrestricted count.
@@ -85,15 +83,16 @@ class TestCountRelprimeK:
             assert total == count_relprime(n), n
 
     def test_memoized(self, cold_known):
-        # The count keeps nothing; the recursion check's memo keeps the
-        # 7 distinct [30/d] >= 4, and a second check reads only those.
+        # The count keeps nothing; the recursion check's memo of size 4 keeps
+        # the 7 distinct [30/d] >= 4, and a second check reads only those.
         assert not hasattr(count_relprime_k, "cache_info")
-        assert verify_recursion_k(30, 4)
-        info = counting._known.cache_info()
+        assert verify_recursion(30, 4)
+        info = counting._known(4).cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 7, 7)
-        assert verify_recursion_k(30, 4)
-        info = counting._known.cache_info()
+        assert verify_recursion(30, 4)
+        info = counting._known(4).cache_info()
         assert (info.hits, info.misses, info.currsize) == (7, 7, 7)
+        assert counting._known.cache_info().currsize == 1  # one memo, of size 4
 
     def test_rejects_zero_arguments(self):
         with pytest.raises(ValueError):
@@ -142,25 +141,25 @@ class TestSandwichBounds:
 
 class TestSandwichBoundsK:
     def test_examples(self):
-        assert sandwich_bounds_k(4, 2) == (5, 5)
-        assert sandwich_bounds_k(2, 2) == (1, 1)
+        assert sandwich_bounds(4, 2) == (5, 5)
+        assert sandwich_bounds(2, 2) == (1, 1)
 
     def test_singleton_column_contains_one(self):
         for n in range(6, 40):
-            lo, hi = sandwich_bounds_k(n, 1)
+            lo, hi = sandwich_bounds(n, 1)
             assert lo <= 1 <= hi, n
 
     def test_sandwich_holds(self):
         for n in range(1, 101):
             for k in range(1, n + 1):
-                lo, hi = sandwich_bounds_k(n, k)
+                lo, hi = sandwich_bounds(n, k)
                 assert lo <= count_relprime_k(n, k) <= hi, (n, k)
 
     def test_rejects_zero_arguments(self):
         with pytest.raises(ValueError):
-            sandwich_bounds_k(0, 1)
+            sandwich_bounds(0, 1)
         with pytest.raises(ValueError):
-            sandwich_bounds_k(3, 0)
+            sandwich_bounds(3, 0)
 
 
 class TestRecursions:
@@ -178,22 +177,22 @@ class TestRecursions:
             assert verify_recursion(n), n
 
     def test_k_variant_examples(self):
-        assert verify_recursion_k(4, 2)
-        assert verify_recursion_k(6, 3)
+        assert verify_recursion(4, 2)
+        assert verify_recursion(6, 3)
         for n in range(1, 50):
-            assert verify_recursion_k(n, 1), n
+            assert verify_recursion(n, 1), n
 
     def test_k_variant_sampled(self):
         for n in range(1, 101):
             for k in (1, 2, 3, 5, 8, n // 2, n):
                 if 1 <= k <= n:
-                    assert verify_recursion_k(n, k), (n, k)
+                    assert verify_recursion(n, k), (n, k)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             verify_recursion(0)
         with pytest.raises(ValueError):
-            verify_recursion_k(5, 0)
+            verify_recursion(5, 0)
 
 
 SPLIT_N_MAX = 1500
@@ -210,19 +209,23 @@ def plain_terms(n: int) -> Counter:
 
 
 class RecordingCount:
-    """A stand-in count that returns values[q] and records each q asked for."""
+    """A stand-in for the memos by size: the memo of each size returns
+    values[q] and records each q asked for."""
 
     def __init__(self):
         self.values: dict[int, int] = {}
         self.asked: list[int] = []
 
-    def __call__(self, q, k=None):
+    def __call__(self, k):
+        return self.count
+
+    def count(self, q):
         self.asked.append(q)
         return self.values[q]  # a q with no value is a KeyError
 
 
 class TestSplitSums:
-    """verify_recursion(_k) sum on the isqrt split; the plain sum runs over every d."""
+    """verify_recursion sums on the isqrt split; the plain sum runs over every d."""
 
     def test_the_counts_agree_with_the_plain_sums(self):
         for n in range(1, SPLIT_N_MAX + 1):
@@ -231,7 +234,7 @@ class TestSplitSums:
             assert verify_recursion(n) == (plain == (1 << n) - 1), n
             for k in split_ks(n):
                 plain = sum(m * count_relprime_k(q, k) for q, m in terms.items() if q >= k)
-                assert verify_recursion_k(n, k) == (plain == math.comb(n, k)), (n, k)
+                assert verify_recursion(n, k) == (plain == math.comb(n, k)), (n, k)
 
     def test_any_counts_agree_with_the_plain_sums(self, monkeypatch):
         # Arbitrary values at q < n, and at q = n the value that makes the
@@ -250,8 +253,7 @@ class TestSplitSums:
                     rest = sum(m * count.values[q] for q, m in terms.items() if low <= q < n)
                     count.values[n] = target - rest
                 count.asked = []
-                holds = verify_recursion(n) if k is None else verify_recursion_k(n, k)
-                assert holds, (n, k)
+                assert verify_recursion(n, k), (n, k)
                 assert sorted(count.asked) == sorted(count.values), (n, k)
 
     def test_a_count_off_by_one_at_one_q_is_caught(self, monkeypatch, cold_known):
@@ -262,8 +264,8 @@ class TestSplitSums:
         # 12 is [25/2], one d at a time, and [150/12], a weighted q <= isqrt(150).
         for n in (12, 25, 150):
             for k in range(1, 13):
-                assert not verify_recursion_k(n, k), (n, k)
+                assert not verify_recursion(n, k), (n, k)
             # For k = 13 the quotient 12 is below k and is not read.
-            assert verify_recursion_k(n, 13), n
-        assert verify_recursion_k(11, 1)
+            assert verify_recursion(n, 13), n
+        assert verify_recursion(11, 1)
 

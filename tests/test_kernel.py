@@ -505,6 +505,6 @@ class TestSizeZero:
     )
     def test_the_check_memos_read_every_size_as_none(self, cold_known, module, count):
         for q in range(1, 200):
-            assert module._known(q) == count(q), q
+            assert module._known(None)(q) == count(q), q
             with pytest.raises(ValueError):  # the size 0, refused by the k >= 1 check
-                module._known(q, 0)
+                module._known(0)(q)

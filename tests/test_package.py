@@ -24,7 +24,6 @@ PUBLIC = [
     "affine_map",
     "affinely_equivalent",
     "asymptotic_report",
-    "asymptotic_report_k",
     "binomial",
     "canonical_form",
     "count_relprime",
@@ -40,18 +39,14 @@ PUBLIC = [
     "invariant_profile",
     "mobius_sieve",
     "residual_bound",
-    "residual_bound_k",
     "sandwich_bounds",
-    "sandwich_bounds_k",
     "subset_phi",
     "subset_phi_k",
     "subset_psi",
     "sumset",
     "sumset_size_distribution",
     "verify_divisor_sum",
-    "verify_divisor_sum_k",
     "verify_recursion",
-    "verify_recursion_k",
 ]
 
 MARKER = "--modules--"

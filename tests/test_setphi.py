@@ -7,14 +7,11 @@ from relprime import setphi
 from relprime.arith import divisors, euler_phi
 from relprime.setphi import (
     asymptotic_report,
-    asymptotic_report_k,
     residual_bound,
-    residual_bound_k,
     subset_phi,
     subset_phi_k,
     subset_psi,
     verify_divisor_sum,
-    verify_divisor_sum_k,
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -111,15 +108,16 @@ class TestSubsetPhiK:
             assert total == subset_phi(n), n
 
     def test_memoized(self, cold_known):
-        # The count keeps nothing; the divisor-sum check's memo keeps the
-        # 5 divisors of 30 that are >= 4, and a second check reads only those.
+        # The count keeps nothing; the divisor-sum check's memo of size 4 keeps
+        # the 5 divisors of 30 that are >= 4, and a second check reads only those.
         assert not hasattr(subset_phi_k, "cache_info")
-        assert verify_divisor_sum_k(30, 4)
-        info = setphi._known.cache_info()
+        assert verify_divisor_sum(30, 4)
+        info = setphi._known(4).cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 5, 5)
-        assert verify_divisor_sum_k(30, 4)
-        info = setphi._known.cache_info()
+        assert verify_divisor_sum(30, 4)
+        info = setphi._known(4).cache_info()
         assert (info.hits, info.misses, info.currsize) == (5, 5, 5)
+        assert setphi._known.cache_info().currsize == 1  # one memo, of size 4
 
     def test_rejects_zero_arguments(self):
         with pytest.raises(ValueError):
@@ -162,12 +160,12 @@ class TestDivisorSums:
             assert verify_divisor_sum(n), n
 
     def test_k_variant(self):
-        assert verify_divisor_sum_k(4, 2)  # 0 + 1 + 5 = 6
-        assert verify_divisor_sum_k(6, 3)
+        assert verify_divisor_sum(4, 2)  # 0 + 1 + 5 = 6
+        assert verify_divisor_sum(6, 3)
         for n in range(1, 101):
             for k in (1, 2, 3, 5, 8, n // 2, n):
                 if 1 <= k <= n:
-                    assert verify_divisor_sum_k(n, k), (n, k)
+                    assert verify_divisor_sum(n, k), (n, k)
 
     def test_gauss_identity(self):
         # sum_{d|n} phi(d) = n, through the k = 1 reduction
@@ -178,7 +176,7 @@ class TestDivisorSums:
         with pytest.raises(ValueError):
             verify_divisor_sum(0)
         with pytest.raises(ValueError):
-            verify_divisor_sum_k(4, 0)
+            verify_divisor_sum(4, 0)
 
 
 class TestAsymptotics:
@@ -193,11 +191,11 @@ class TestAsymptotics:
         assert two.residual == 0
 
     def test_report_k_examples(self):
-        r = asymptotic_report_k(9, 2)
+        r = asymptotic_report(9, 2)
         assert (r.value, r.main_term, r.residual) == (33, 36, -3)
-        assert residual_bound_k(9, 2) == 27
-        assert asymptotic_report_k(4, 2).residual == 0
-        assert asymptotic_report_k(2, 1).residual == 0
+        assert residual_bound(9, 2) == 27
+        assert asymptotic_report(4, 2).residual == 0
+        assert asymptotic_report(2, 1).residual == 0
 
     def test_value_splits_into_main_and_residual(self):
         for n in range(1, 200):
@@ -213,15 +211,15 @@ class TestAsymptotics:
         for n in range(2, 151):
             for k in (1, 2, 3, 5, 8, n // 2, n):
                 if 1 <= k <= n:
-                    report = asymptotic_report_k(n, k)
-                    assert abs(report.residual) <= residual_bound_k(n, k), (n, k)
+                    report = asymptotic_report(n, k)
+                    assert abs(report.residual) <= residual_bound(n, k), (n, k)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             asymptotic_report(0)
         with pytest.raises(ValueError):
-            asymptotic_report_k(3, 0)
+            asymptotic_report(3, 0)
         with pytest.raises(ValueError):
             residual_bound(0)
         with pytest.raises(ValueError):
-            residual_bound_k(0, 1)
+            residual_bound(0, 1)
